@@ -19,6 +19,7 @@ from .corpus import (
     build_vocab_and_reindex,
     expand_prefixes,
     load_dataset,
+    load_vocab,
     parse_click_log,
     parse_timestamp_ms,
     persist_dataset,
@@ -31,11 +32,9 @@ from .evaluation import (
     MetricsReport,
     evaluate_model,
     label_rank,
-    mrr_at_k,
     pop_baseline,
     popularity_scores,
     rank_topk,
-    recall_at_k,
 )
 from .graph import SessionGraph, build_session_graph
 from .model import (
@@ -105,17 +104,16 @@ __all__ = [
     "label_rank",
     "load_checkpoint",
     "load_dataset",
+    "load_vocab",
     "loss",
     "lr_for_epoch",
     "make_batches",
-    "mrr_at_k",
     "parse_click_log",
     "parse_timestamp_ms",
     "persist_dataset",
     "pop_baseline",
     "popularity_scores",
     "rank_topk",
-    "recall_at_k",
     "run_gradient_check",
     "save_checkpoint",
     "sessionize_and_filter",

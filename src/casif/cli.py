@@ -216,34 +216,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = trainer.load_checkpoint(args.checkpoint)
-    vocab_path = args.vocab
-    index_to_raw: list[str] = []
-    raw_to_index: dict[str, int] = {}
-    with open(vocab_path, "r", encoding="utf-8") as fh:
-        entries = {}
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                entries[int(rec["index"])] = rec["raw"]
-        index_to_raw = [entries[i] for i in range(len(entries))]
-        raw_to_index = {raw: i for i, raw in enumerate(index_to_raw)}
-    if len(index_to_raw) != ckpt.num_items:
-        raise DataError(f"vocabulary has {len(index_to_raw)} items, checkpoint {ckpt.num_items}")
+    vocab = corpus.load_vocab(args.vocab, ckpt.num_items)
 
     raw_items = [part.strip() for part in args.items.split(",") if part.strip()]
     if not raw_items:
         raise ConfigError("--items must list at least one item id")
-    unknown = [it for it in raw_items if it not in raw_to_index]
+    unknown = [it for it in raw_items if it not in vocab.raw_to_index]
     if unknown:
         raise DataError(f"unknown item ids: {', '.join(unknown)}")
-    if not 1 <= args.k <= ckpt.num_items:
-        raise ConfigError(f"k must be in [1, {ckpt.num_items}], got {args.k}")
 
-    prefix = [raw_to_index[it] for it in raw_items]
+    prefix = [vocab.raw_to_index[it] for it in raw_items]
     trace = forward(corpus.PrefixExample(prefix, 0), ckpt.params, ckpt.hp)
     top = evaluation.rank_topk(trace.probs, args.k)
     for index in top:
-        print(f"{index_to_raw[int(index)]}\t{trace.probs[int(index)]:.6g}")
+        print(f"{vocab.index_to_raw[int(index)]}\t{trace.probs[int(index)]:.6g}")
     return EXIT_OK
 
 

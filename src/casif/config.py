@@ -46,21 +46,11 @@ DEFAULTS = {
     "test_window_ms": 86_400_000,   # hold out the trailing day by default
     "split_ts": None,               # absolute override of the time split
     "fraction": "1",                # most-recent fraction of train sessions kept
-    # execution
-    "threads": 1,
 }
 
-_TYPES = {
-    "d": int, "gnn_steps": int, "variant": str, "loss_variant": str,
-    "current_interest_input": str,
-    "batch_size": int, "lr0": (int, float), "lr_decay_factor": (int, float),
-    "lr_decay_every": int, "l2_lambda": (int, float), "epochs": int, "seed": int,
-    "delimiter": str, "has_header": bool, "session_col": int, "time_col": int,
-    "item_col": int, "strict_parse": bool,
-    "min_item_support": int, "min_session_len": int, "max_session_len": int,
-    "test_window_ms": int, "split_ts": (int, type(None)), "fraction": (str, int, float),
-    "threads": int,
-}
+# each key takes its default's type (a float key also takes an int), bar two wider ones
+_TYPES = {key: (int, float) if isinstance(value, float) else type(value) for key, value in DEFAULTS.items()}
+_TYPES.update(split_ts=(int, type(None)), fraction=(str, int, float))
 
 
 def load_config_file(path) -> dict:
@@ -101,8 +91,6 @@ def effective_config(config_path=None, overrides=None) -> dict:
             raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
         if not isinstance(value, expected):
             raise ConfigError(f"config key {key!r} has wrong type: {value!r}")
-    if cfg["threads"] < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg['threads']}")
     return cfg
 
 

@@ -234,31 +234,24 @@ def expand_prefixes(session: Session) -> list[PrefixExample]:
 def build_vocab_and_reindex(train_sessions, test_sessions, provenance: dict | None = None) -> ProcessedDataset:
     """Index items from the training split and expand both splits to examples.
 
-    Vocabulary order is first occurrence in training.  Test items missing
-    from the vocabulary are removed; test sessions left shorter than two
-    items are dropped.
+    Vocabulary order is first occurrence in training; the test split is
+    pruned as reindexed_sessions describes.
     """
     if not train_sessions:
         raise DataError("cannot build a dataset from an empty training split")
     vocab = ItemVocabulary.from_sessions(train_sessions)
-
-    train_examples: list[PrefixExample] = []
-    for sess in train_sessions:
-        indexed = Session([vocab.raw_to_index[it] for it in sess.items], sess.start_time)
-        train_examples.extend(expand_prefixes(indexed))
-
-    test_examples: list[PrefixExample] = []
-    for sess in test_sessions:
-        items = [vocab.raw_to_index[it] for it in sess.items if it in vocab.raw_to_index]
-        if len(items) < 2:
-            continue
-        test_examples.extend(expand_prefixes(Session(items, sess.start_time)))
-
+    train, test = reindexed_sessions(train_sessions, test_sessions, vocab)
+    train_examples = [ex for items in train for ex in expand_prefixes(Session(items))]
+    test_examples = [ex for items in test for ex in expand_prefixes(Session(items))]
     return ProcessedDataset(train_examples, test_examples, vocab, provenance or {})
 
 
 def reindexed_sessions(train_sessions, test_sessions, vocab: ItemVocabulary):
-    """The integer-indexed sessions behind a dataset (test pruned like build_vocab_and_reindex)."""
+    """The integer-indexed sessions behind a dataset.
+
+    Test items missing from the vocabulary are removed; test sessions left
+    shorter than two items are dropped.
+    """
     train = [[vocab.raw_to_index[it] for it in s.items] for s in train_sessions]
     test = []
     for s in test_sessions:
@@ -306,7 +299,9 @@ def load_dataset(path, vocab_path=None) -> ProcessedDataset:
             raise DataError(f"{path}: not a {DATASET_FORMAT} file")
         if header.get("version") != DATASET_VERSION:
             raise DataError(f"{path}: unsupported version {header.get('version')!r}")
-        num_items = int(header["num_items"])
+        num_items = header.get("num_items")
+        if not isinstance(num_items, int) or isinstance(num_items, bool) or num_items < 1:
+            raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
         train: list[PrefixExample] = []
         test: list[PrefixExample] = []
         for lineno, line in enumerate(fh, start=2):
@@ -327,22 +322,38 @@ def load_dataset(path, vocab_path=None) -> ProcessedDataset:
             if any(i < 0 or i >= num_items for i in ex.prefix) or not 0 <= ex.label < num_items:
                 raise DataError(f"{path}: line {lineno}: item index out of range [0, {num_items})")
 
-    index_to_raw: list[str] = [""] * num_items
-    seen = 0
-    with open(vocab_path, "r", encoding="utf-8") as fh:
+    vocab = load_vocab(vocab_path, num_items)
+    return ProcessedDataset(train, test, vocab, header.get("provenance", {}))
+
+
+def load_vocab(path, num_items: int) -> ItemVocabulary:
+    """Read a vocabulary file that lists each index 0 .. num_items-1 exactly once.
+
+    Every line is a {"raw": str, "index": int} record; blank lines are
+    skipped.  Any other content is a DataError naming the file and line.
+    """
+    index_to_raw: list = [None] * num_items
+    raw_to_index: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 rec = json.loads(line)
-                raw, index = rec["raw"], int(rec["index"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{vocab_path}: line {lineno}: malformed record: {exc}") from exc
+                raw, index = rec["raw"], rec["index"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise DataError(f"{where}: malformed record: {exc}") from exc
+            if not isinstance(raw, str) or not isinstance(index, int) or isinstance(index, bool):
+                raise DataError(f"{where}: malformed record: raw must be a string, index an integer")
             if not 0 <= index < num_items:
-                raise DataError(f"{vocab_path}: line {lineno}: index {index} out of range")
+                raise DataError(f"{where}: index {index} out of range [0, {num_items})")
+            if index_to_raw[index] is not None:
+                raise DataError(f"{where}: index {index} listed twice")
+            if raw in raw_to_index:
+                raise DataError(f"{where}: raw id {raw!r} listed twice")
             index_to_raw[index] = raw
-            seen += 1
-    if seen != num_items:
-        raise DataError(f"{vocab_path}: {seen} entries for {num_items} items")
-    vocab = ItemVocabulary({raw: i for i, raw in enumerate(index_to_raw)}, index_to_raw)
-    return ProcessedDataset(train, test, vocab, header.get("provenance", {}))
+            raw_to_index[raw] = index
+    if len(raw_to_index) != num_items:
+        raise DataError(f"{path}: {len(raw_to_index)} entries for {num_items} items")
+    return ItemVocabulary(raw_to_index, index_to_raw)

@@ -39,30 +39,6 @@ def label_rank(scores, label: int) -> int:
     return 1 + better + tied_before
 
 
-def recall_at_k(ranked_lists, labels, k: int) -> float:
-    """Fraction of examples whose label appears in their top-k list."""
-    if len(ranked_lists) != len(labels):
-        raise DataError("ranked_lists and labels must have equal length")
-    if not labels:
-        raise DataError("recall over zero examples is undefined")
-    hits = sum(1 for ranked, label in zip(ranked_lists, labels) if label in set(ranked[:k]))
-    return hits / len(labels)
-
-
-def mrr_at_k(ranked_lists, labels, k: int) -> float:
-    """Mean reciprocal rank, zero for labels ranked below k."""
-    if len(ranked_lists) != len(labels):
-        raise DataError("ranked_lists and labels must have equal length")
-    if not labels:
-        raise DataError("mrr over zero examples is undefined")
-    total = 0.0
-    for ranked, label in zip(ranked_lists, labels):
-        top = list(ranked[:k])
-        if label in top:
-            total += 1.0 / (top.index(label) + 1)
-    return total / len(labels)
-
-
 @dataclass
 class MetricsReport:
     """recall/mrr per cutoff and bucket, with example counts."""

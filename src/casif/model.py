@@ -17,10 +17,11 @@ independent oracle it is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .corpus import PrefixExample
 from .errors import ConfigError
 from .graph import SessionGraph, build_session_graph
 from .rng import STREAM_INIT, SplitMix64, substream_seed
@@ -58,55 +59,46 @@ class HyperParams:
             )
 
 
-# Checkpoint tensor order.  Never reorder: serialized checkpoints depend on it.
-_BASE_TENSORS = (
-    "emb",
-    "w_in", "b_in_inner", "b_in_outer",
-    "w_out", "b_out_inner", "b_out_outer",
-    "gate_update_msg", "gate_update_self",
-    "gate_reset_msg", "gate_reset_self",
-    "gate_cand_msg", "gate_cand_self",
-    "att_score",
-    "att_item", "att_last", "att_mean", "att_bias",
-    "mlp_general_w", "mlp_general_b",
-    "mlp_current_w", "mlp_current_b",
-)
-_SIMPLE_TENSORS = ("att_simple_w", "att_simple_b")
+def _tensor(*shape, variant=None):
+    """A ModelParams field of the given shape, held by one variant or (None) all."""
+    return field(default=None if variant else MISSING, metadata={"shape": shape, "variant": variant})
 
 
 @dataclass
 class ModelParams:
     """All learnable tensors.
 
-    ``emb`` doubles as the input lookup table and the candidate vectors of
-    the final score (weight tying).  The ``att_simple_*`` tensors exist
-    only for the simplified variant.
+    The field order is the checkpoint layout and the init draw order.
+    Never reorder: serialized checkpoints depend on it.  ``emb`` doubles
+    as the input lookup table and the candidate vectors of the final
+    score (weight tying).  The ``att_simple_*`` tensors exist only for
+    the simplified variant.
     """
 
-    emb: np.ndarray               # (num_items, d)
-    w_in: np.ndarray              # (d, d) incoming message transform
-    b_in_inner: np.ndarray        # (d,)  bias inside the aggregation
-    b_in_outer: np.ndarray        # (d,)  bias outside the aggregation
-    w_out: np.ndarray
-    b_out_inner: np.ndarray
-    b_out_outer: np.ndarray
-    gate_update_msg: np.ndarray   # (2d, d)
-    gate_update_self: np.ndarray  # (d, d)
-    gate_reset_msg: np.ndarray
-    gate_reset_self: np.ndarray
-    gate_cand_msg: np.ndarray
-    gate_cand_self: np.ndarray
-    att_score: np.ndarray         # (d,) weighting vector collapsing gate output to a scalar
-    att_item: np.ndarray          # (d, d) per-position transform
-    att_last: np.ndarray          # (d, d) last-click transform
-    att_mean: np.ndarray          # (d, d) session-mean transform
-    att_bias: np.ndarray          # (d,)
-    mlp_general_w: np.ndarray     # (d, d)
-    mlp_general_b: np.ndarray     # (d,)
-    mlp_current_w: np.ndarray
-    mlp_current_b: np.ndarray
-    att_simple_w: np.ndarray | None = None   # (d, d), simplified variant only
-    att_simple_b: np.ndarray | None = None   # (d,)
+    emb: np.ndarray = _tensor("items", "d")
+    w_in: np.ndarray = _tensor("d", "d")          # incoming message transform
+    b_in_inner: np.ndarray = _tensor("d")         # bias inside the aggregation
+    b_in_outer: np.ndarray = _tensor("d")         # bias outside the aggregation
+    w_out: np.ndarray = _tensor("d", "d")
+    b_out_inner: np.ndarray = _tensor("d")
+    b_out_outer: np.ndarray = _tensor("d")
+    gate_update_msg: np.ndarray = _tensor("2d", "d")
+    gate_update_self: np.ndarray = _tensor("d", "d")
+    gate_reset_msg: np.ndarray = _tensor("2d", "d")
+    gate_reset_self: np.ndarray = _tensor("d", "d")
+    gate_cand_msg: np.ndarray = _tensor("2d", "d")
+    gate_cand_self: np.ndarray = _tensor("d", "d")
+    att_score: np.ndarray = _tensor("d")          # weighting vector collapsing gate output to a scalar
+    att_item: np.ndarray = _tensor("d", "d")      # per-position transform
+    att_last: np.ndarray = _tensor("d", "d")      # last-click transform
+    att_mean: np.ndarray = _tensor("d", "d")      # session-mean transform
+    att_bias: np.ndarray = _tensor("d")
+    mlp_general_w: np.ndarray = _tensor("d", "d")
+    mlp_general_b: np.ndarray = _tensor("d")
+    mlp_current_w: np.ndarray = _tensor("d", "d")
+    mlp_current_b: np.ndarray = _tensor("d")
+    att_simple_w: np.ndarray | None = _tensor("d", "d", variant="casif_s")
+    att_simple_b: np.ndarray | None = _tensor("d", variant="casif_s")
 
     @property
     def num_items(self) -> int:
@@ -117,10 +109,7 @@ class ModelParams:
         return self.emb.shape[1]
 
     def tensor_names(self) -> tuple[str, ...]:
-        names = _BASE_TENSORS
-        if self.att_simple_w is not None:
-            names = names + _SIMPLE_TENSORS
-        return names
+        return tuple(f.name for f in fields(self) if getattr(self, f.name) is not None)
 
     def tensors(self):
         """(name, array) pairs in the fixed declared order."""
@@ -135,22 +124,10 @@ Gradients = dict  # tensor name -> array, shapes matching ModelParams
 
 
 def _tensor_shapes(num_items: int, d: int, variant: str):
-    shapes = {
-        "emb": (num_items, d),
-        "w_in": (d, d), "b_in_inner": (d,), "b_in_outer": (d,),
-        "w_out": (d, d), "b_out_inner": (d,), "b_out_outer": (d,),
-        "gate_update_msg": (2 * d, d), "gate_update_self": (d, d),
-        "gate_reset_msg": (2 * d, d), "gate_reset_self": (d, d),
-        "gate_cand_msg": (2 * d, d), "gate_cand_self": (d, d),
-        "att_score": (d,),
-        "att_item": (d, d), "att_last": (d, d), "att_mean": (d, d), "att_bias": (d,),
-        "mlp_general_w": (d, d), "mlp_general_b": (d,),
-        "mlp_current_w": (d, d), "mlp_current_b": (d,),
-    }
-    if variant == "casif_s":
-        shapes["att_simple_w"] = (d, d)
-        shapes["att_simple_b"] = (d,)
-    return shapes
+    """Shape of every tensor the variant has, in declared order."""
+    dims = {"items": num_items, "d": d, "2d": 2 * d}
+    return {f.name: tuple(dims[x] for x in f.metadata["shape"])
+            for f in fields(ModelParams) if f.metadata["variant"] in (None, variant)}
 
 
 def init_params(num_items: int, hp: HyperParams, seed: int) -> ModelParams:
@@ -408,34 +385,28 @@ def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradi
             d_h_last += d_current_in
         else:
             d_context += d_current_in
+        w_name, b_name = "att_item", "att_bias"
+    else:
+        d_context = d_blend
+        w_name, b_name = "att_simple_w", "att_simple_b"
 
-        # attention: alpha = gate @ att_score, context = alpha @ h_pos
-        d_alpha = trace.h_pos @ d_context
-        d_h_pos += np.outer(trace.alpha, d_context)
-        d_gate = np.outer(d_alpha, params.att_score)
-        grads["att_score"] += trace.att_gate.T @ d_alpha
-        d_pre = d_gate * trace.att_gate * (1.0 - trace.att_gate)
-        grads["att_item"] += trace.h_pos.T @ d_pre
-        d_h_pos += d_pre @ params.att_item.T
-        col = d_pre.sum(axis=0)
+    # attention: alpha = gate @ att_score, context = alpha @ h_pos, gate = sigmoid(h_pos @ w + b),
+    # plus the last-click and session-mean terms in casif
+    d_alpha = trace.h_pos @ d_context
+    d_h_pos += np.outer(trace.alpha, d_context)
+    d_gate = np.outer(d_alpha, params.att_score)
+    grads["att_score"] += trace.att_gate.T @ d_alpha
+    d_pre = d_gate * trace.att_gate * (1.0 - trace.att_gate)
+    grads[w_name] += trace.h_pos.T @ d_pre
+    d_h_pos += d_pre @ getattr(params, w_name).T
+    col = d_pre.sum(axis=0)
+    grads[b_name] += col
+    if hp.variant == "casif":
         grads["att_last"] += np.outer(trace.h_pos[-1], col)
         d_h_last += params.att_last @ col
         grads["att_mean"] += np.outer(trace.session_mean, col)
-        d_mean = params.att_mean @ col
-        grads["att_bias"] += col
-
-        d_h_pos += d_mean / n            # mean pooling fans out uniformly
+        d_h_pos += (params.att_mean @ col) / n   # mean pooling fans out uniformly
         d_h_pos[-1] += d_h_last
-    else:
-        d_context = d_blend
-        d_alpha = trace.h_pos @ d_context
-        d_h_pos += np.outer(trace.alpha, d_context)
-        d_gate = np.outer(d_alpha, params.att_score)
-        grads["att_score"] += trace.att_gate.T @ d_alpha
-        d_pre = d_gate * trace.att_gate * (1.0 - trace.att_gate)
-        grads["att_simple_w"] += trace.h_pos.T @ d_pre
-        grads["att_simple_b"] += d_pre.sum(axis=0)
-        d_h_pos += d_pre @ params.att_simple_w.T
 
     # positions -> nodes (alias may repeat a node)
     d_state = np.zeros_like(trace.h_nodes)
@@ -545,13 +516,6 @@ def run_gradient_check(
     ``sabotage`` corrupts one analytic entry, for exercising the failure
     path of callers.
     """
-    from .rng import SplitMix64  # local import keeps module import order obvious
-
-    class _Example:
-        def __init__(self, prefix, label):
-            self.prefix = prefix
-            self.label = label
-
     combos = [(v, lv, steps) for v in variants for lv in LOSS_VARIANTS for steps in (1, 2)]
     cases = []
     for i in range(num_cases):
@@ -563,7 +527,7 @@ def run_gradient_check(
         prefix = [int(x) for x in np.minimum(
             (draws.uniform(prefix_len) * num_items).astype(np.int64), num_items - 1)]
         label = int(min(int(draws.uniform(1)[0] * num_items), num_items - 1))
-        example = _Example(prefix, label)
+        example = PrefixExample(prefix, label)
 
         analytic = backward(forward(example, params, hp), params, hp)
         if sabotage:

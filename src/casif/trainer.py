@@ -19,6 +19,8 @@ Checkpoint layout (all little-endian):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -291,12 +293,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: unknown code in header") from exc
 
         shapes = _tensor_shapes(num_items, d, hp.variant)
+        end = os.fstat(fh.fileno()).st_size
 
         def read_tensor(name, what):
+            # size check first, so a corrupt header cannot allocate more than the file holds
             shape = shapes[name]
-            count = int(np.prod(shape))
-            data = _read_exact(fh, count * 8, path, f"{what} {name}")
-            return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+            arr = np.empty(shape, dtype="<f8") if 8 * math.prod(shape) <= end - fh.tell() else None
+            if arr is None or fh.readinto(arr) != arr.nbytes:
+                raise DataError(f"{path}: truncated checkpoint while reading {what} {name}")
+            return arr
 
         params = ModelParams(**{name: read_tensor(name, "tensor") for name in shapes})
 

@@ -26,11 +26,8 @@ from casif import (
     generate_sessions,
     init_params,
     load_checkpoint,
-    mrr_at_k,
     parse_click_log,
     pop_baseline,
-    rank_topk,
-    recall_at_k,
     save_checkpoint,
     sessionize_and_filter,
     take_recent_fraction,
@@ -41,6 +38,7 @@ from casif import (
 )
 from casif.model import run_gradient_check
 from reference_impl import ref_graph, ref_rank_metrics
+from test_eval import rank_report
 
 
 def verdict(capsys, num, name, ok, detail=""):
@@ -120,16 +118,13 @@ class TestAcceptance:
         for _ in range(100):
             scores = np.round(rng.normal(size=(20, 50)), 2)
             labels = [int(x) for x in rng.integers(0, 50, size=20)]
-            ranked = [rank_topk(row, 50) for row in scores]
+            got = rank_report(scores, labels, (1, 5, 10, 20))
             for k in (1, 5, 10, 20):
                 ref_r, ref_m = ref_rank_metrics(scores.tolist(), labels, k)
-                worst = max(worst,
-                            abs(recall_at_k(ranked, labels, k) - ref_r),
-                            abs(mrr_at_k(ranked, labels, k) - ref_m))
+                worst = max(worst, abs(got.recall(k) - ref_r), abs(got.mrr(k) - ref_m))
         # the rank-beyond-k rule: a label ranked 3rd contributes zero at k=2
-        scores = np.array([5.0, 4.0, 3.0, 2.0])
-        ranked = [rank_topk(scores, 4)]
-        zero_rule = mrr_at_k(ranked, [2], 2) == 0.0 and mrr_at_k(ranked, [2], 3) > 0.0
+        third = rank_report([np.array([5.0, 4.0, 3.0, 2.0])], [2], (2, 3))
+        zero_rule = third.mrr(2) == 0.0 and third.mrr(3) > 0.0
         verdict(capsys, 3, "recall@k / mrr@k equal the full-sort oracle",
                 worst <= 1e-12 and zero_rule,
                 f" (worst abs diff {worst:.1e} over 100 matrices)")

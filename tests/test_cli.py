@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -113,6 +114,14 @@ class TestExitCodes:
         assert rc == 1
         assert "no_such_key" in capsys.readouterr().err
 
+    def test_removed_threads_key_is_config_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"threads": 1}')
+        rc = main(["--config", str(cfg), "preprocess", "--input", str(pipeline["raw"]),
+                   "--out-dir", str(tmp_path / "d")])
+        assert rc == 1
+        assert "threads" in capsys.readouterr().err
+
     def test_config_file_env_fallback(self, pipeline, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"min_item_support": 2}')
@@ -180,6 +189,63 @@ class TestExitCodes:
                    "--strict"])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def corrupt_vocab(lines, how):
+    """Vocabulary lines with one defect: a gap, a repeat, junk, or one item too many."""
+    recs = [json.loads(line) for line in lines]
+    if how == "missing_index":
+        recs = [r for r in recs if r["index"] != 1]
+    elif how == "duplicate_index":
+        recs = [r if r["index"] != 1 else {"raw": "dup", "index": 0} for r in recs]
+    elif how == "extra_item":
+        recs.append({"raw": "extra", "index": len(recs)})
+    out = [json.dumps(r) + "\n" for r in recs]
+    if how == "not_json":
+        out.insert(1, "this is not json\n")
+    return out
+
+
+VOCAB_DEFECTS = ["missing_index", "duplicate_index", "not_json", "extra_item"]
+
+
+class TestBadVocabulary:
+    """Every command that reads a vocabulary rejects a bad one with exit 2."""
+
+    @pytest.fixture
+    def bad_copy(self, pipeline, tmp_path):
+        def make(how):
+            dataset = tmp_path / "dataset.jsonl"
+            shutil.copy(pipeline["data"] / "dataset.jsonl", dataset)
+            lines = open(pipeline["data"] / "dataset.jsonl.vocab").readlines()
+            with open(f"{dataset}.vocab", "w") as fh:
+                fh.writelines(corrupt_vocab(lines, how))
+            return dataset
+        return make
+
+    @pytest.mark.parametrize("how", VOCAB_DEFECTS)
+    def test_evaluate_rejects(self, bad_copy, capsys, how):
+        dataset = bad_copy(how)
+        rc = main(["evaluate", "--dataset", str(dataset), "--baseline", "pop"])
+        assert rc == 2
+        assert f"{dataset}.vocab" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", VOCAB_DEFECTS)
+    def test_predict_rejects(self, pipeline, bad_copy, capsys, how):
+        vocab = f"{bad_copy(how)}.vocab"
+        rc = main(["predict", "--checkpoint", str(pipeline["ckpt"]), "--vocab", vocab,
+                   "--items", "item0"])
+        assert rc == 2
+        assert vocab in capsys.readouterr().err
+
+    def test_predict_without_traceback(self, pipeline, bad_copy):
+        vocab = f"{bad_copy('missing_index')}.vocab"
+        proc = subprocess.run(
+            [sys.executable, "-m", "casif.cli", "predict", "--checkpoint", str(pipeline["ckpt"]),
+             "--vocab", vocab, "--items", "item0"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "entries" in proc.stderr
 
 
 class TestDumpGraphs:

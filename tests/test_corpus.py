@@ -13,6 +13,7 @@ from casif import (
     build_vocab_and_reindex,
     expand_prefixes,
     load_dataset,
+    load_vocab,
     parse_click_log,
     parse_timestamp_ms,
     persist_dataset,
@@ -21,6 +22,7 @@ from casif import (
     time_split,
 )
 from casif.errors import ConfigError
+from test_cli import corrupt_vocab
 
 
 def ev(sess, ts, item):
@@ -216,6 +218,12 @@ class TestPersistence:
         with pytest.raises(DataError, match="version"):
             load_dataset(path)
 
+    def test_missing_item_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"format": "casif-dataset", "version": 1}\n')
+        with pytest.raises(DataError, match="num_items"):
+            load_dataset(path)
+
     def test_malformed_record_names_line(self, tmp_path):
         ds = self.make_ds()
         path = tmp_path / "data.jsonl"
@@ -244,3 +252,41 @@ class TestPersistence:
             fh.writelines(lines[:-1])
         with pytest.raises(DataError, match="entries"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("how, message", [
+        ("missing_index", "2 entries for 3 items"),
+        ("duplicate_index", r"line 2: index 0 listed twice"),
+        ("not_json", r"line 2: malformed record"),
+        ("extra_item", r"line 4: index 3 out of range"),
+    ])
+    def test_bad_vocab_rejected(self, tmp_path, how, message):
+        path = tmp_path / "data.jsonl"
+        persist_dataset(self.make_ds(), path)
+        vocab_path = f"{path}.vocab"
+        lines = corrupt_vocab(open(vocab_path).readlines(), how)
+        with open(vocab_path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
+
+class TestLoadVocab:
+    def write(self, tmp_path, records):
+        path = tmp_path / "v.vocab"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_reads_any_line_order(self, tmp_path):
+        path = self.write(tmp_path, [{"raw": "b", "index": 1}, {"raw": "a", "index": 0}])
+        vocab = load_vocab(path, 2)
+        assert vocab.index_to_raw == ["a", "b"] and vocab.raw_to_index == {"a": 0, "b": 1}
+
+    def test_duplicate_raw_id_rejected(self, tmp_path):
+        path = self.write(tmp_path, [{"raw": "a", "index": 0}, {"raw": "a", "index": 1}])
+        with pytest.raises(DataError, match="line 2: raw id 'a' listed twice"):
+            load_vocab(path, 2)
+
+    def test_non_integer_index_rejected(self, tmp_path):
+        path = self.write(tmp_path, [{"raw": "a", "index": 0.5}])
+        with pytest.raises(DataError, match="line 1: malformed"):
+            load_vocab(path, 1)

@@ -7,13 +7,12 @@ from casif import (
     evaluate_model,
     init_params,
     label_rank,
-    mrr_at_k,
     pop_baseline,
     popularity_scores,
     rank_topk,
-    recall_at_k,
 )
 from casif.errors import ConfigError, DataError
+from casif.evaluation import _report_from_ranks
 from reference_impl import ref_rank_metrics
 from test_model_forward import zero_params
 
@@ -41,51 +40,57 @@ class TestRanking:
             rank_topk(np.zeros(4), 5)
 
 
+def rank_report(scores, labels, ks):
+    """The production metric path: label_rank per example, then _report_from_ranks."""
+    ranks = [label_rank(row, label) for row, label in zip(scores, labels)]
+    return _report_from_ranks(ranks, [1] * len(labels), ks)
+
+
 class TestMetricOracle:
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(20240818)
         for _ in range(100):
             scores = np.round(rng.normal(size=(20, 50)), 2)
             labels = [int(x) for x in rng.integers(0, 50, size=20)]
-            ranked = [rank_topk(row, 50) for row in scores]
+            report = rank_report(scores, labels, (1, 5, 10, 20))
             for k in (1, 5, 10, 20):
-                got_r = recall_at_k(ranked, labels, k)
-                got_m = mrr_at_k(ranked, labels, k)
                 ref_r, ref_m = ref_rank_metrics(scores.tolist(), labels, k)
-                assert abs(got_r - ref_r) < 1e-12
-                assert abs(got_m - ref_m) < 1e-12
+                assert abs(report.recall(k) - ref_r) < 1e-12
+                assert abs(report.mrr(k) - ref_m) < 1e-12
 
     def test_rank_beyond_k_contributes_zero_to_mrr(self):
         # label ranked 3rd: counts for k >= 3, is zeroed for k < 3
-        scores = np.array([5.0, 4.0, 3.0, 2.0])
-        ranked = [rank_topk(scores, 4)]
-        assert mrr_at_k(ranked, [2], 3) == pytest.approx(1.0 / 3.0)
-        assert mrr_at_k(ranked, [2], 2) == 0.0
-        assert recall_at_k(ranked, [2], 2) == 0.0
+        report = rank_report([np.array([5.0, 4.0, 3.0, 2.0])], [2], (2, 3))
+        assert report.mrr(3) == pytest.approx(1.0 / 3.0)
+        assert report.mrr(2) == 0.0
+        assert report.recall(2) == 0.0
 
     def test_mrr_bounded_by_recall(self):
         rng = np.random.default_rng(5)
         scores = rng.normal(size=(30, 15))
         labels = [int(x) for x in rng.integers(0, 15, size=30)]
-        ranked = [rank_topk(row, 15) for row in scores]
+        report = rank_report(scores, labels, (1, 3, 7, 15))
         for k in (1, 3, 7, 15):
-            r, m = recall_at_k(ranked, labels, k), mrr_at_k(ranked, labels, k)
-            assert 0.0 <= m <= r <= 1.0
+            assert 0.0 <= report.mrr(k) <= report.recall(k) <= 1.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(6)
         scores = rng.normal(size=(25, 20))
         labels = [int(x) for x in rng.integers(0, 20, size=25)]
-        ranked = [rank_topk(row, 20) for row in scores]
+        report = rank_report(scores, labels, (1, 5, 10, 20))
         for lo, hi in ((1, 5), (5, 10), (10, 20)):
-            assert recall_at_k(ranked, labels, lo) <= recall_at_k(ranked, labels, hi)
-            assert mrr_at_k(ranked, labels, lo) <= mrr_at_k(ranked, labels, hi)
+            assert report.recall(lo) <= report.recall(hi)
+            assert report.mrr(lo) <= report.mrr(hi)
 
     def test_degenerate_inputs_rejected(self):
+        # both production entry points refuse zero test examples and out-of-range cutoffs
+        hp = HyperParams(d=4)
+        params = init_params(5, hp, seed=0)
+        train = [PrefixExample([0], 1)]
         with pytest.raises(DataError):
-            recall_at_k([], [], 5)
-        with pytest.raises(DataError):
-            mrr_at_k([np.arange(3)], [], 5)
+            pop_baseline(train, [], 5, ks=(1,))
+        with pytest.raises(ConfigError):
+            evaluate_model(params, hp, train, ks=(6,))
 
 
 class TestModelEvaluation:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,25 @@ class TestCheckpointFormat:
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
         assert back.adam is None and back.rng_seed is None
+
+    # sha256 of the checkpoint below.  It pins the tensor order, which is both
+    # the byte layout and the init draw order, and the Adam-state layout.
+    LAYOUT_SHA256 = {
+        "casif": "77fb4adc519985df5ed5625a694c1e39bf5646f52caf1c2971033edf768acb8c",
+        "casif_s": "6e41117e8864b4d8b952515a3b7e56ef8a5ff50702e1e7b3ad1fd58c33fc6fb0",
+    }
+
+    @pytest.mark.parametrize("variant", ["casif", "casif_s"])
+    def test_layout_pinned(self, tmp_path, variant):
+        hp = HyperParams(d=3, gnn_steps=2, variant=variant)
+        params = init_params(5, hp, seed=11)
+        moment1, moment2 = init_params(5, hp, seed=12), init_params(5, hp, seed=13)
+        adam = AdamState(moment1=dict(moment1.tensors()),
+                         moment2={name: arr * arr for name, arr in moment2.tensors()}, t=7)
+        path = tmp_path / "pinned.ckpt"
+        save_checkpoint(path, Checkpoint(hp=hp, num_items=5, params=params, adam=adam,
+                                         epoch=2, rng_seed=19))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.LAYOUT_SHA256[variant]
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.ckpt"
