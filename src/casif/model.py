@@ -204,14 +204,17 @@ def _softmax_with_log(logits):
     return ez / total, shifted - np.log(total)
 
 
-def _log1mexp(log_p):
-    """log(1 - exp(log_p)) for log_p <= 0, the numerically stable way."""
-    out = np.empty_like(log_p)
-    hi = log_p > -np.log(2.0)
-    with np.errstate(divide="ignore"):
-        out[hi] = np.log(-np.expm1(log_p[hi]))
-        out[~hi] = np.log1p(-np.exp(log_p[~hi]))
-    return out
+def _rival(log_probs, label: int):
+    """The non-label item with p > 1/2 (at most one exists), or None."""
+    top = int(np.argmax(log_probs))
+    return top if top != label and log_probs[top] > -np.log(2.0) else None
+
+
+def _log_rest(log_probs, i: int) -> float:
+    """log(1 - p_i), exactly: the logsumexp of every other item's log-probability."""
+    others = np.delete(log_probs, i)
+    peak = others.max()
+    return float(peak + np.log(np.exp(others - peak).sum()))
 
 
 def _ggnn_steps(graph: SessionGraph, params: ModelParams, steps: int):
@@ -293,9 +296,12 @@ def loss(probs, label: int, variant: str = "eq13", log_probs=None) -> float:
         return float(-log_probs[label])
     if variant != "eq13":
         raise ConfigError(f"unknown loss variant {variant!r}")
-    log_one_minus = _log1mexp(log_probs)
-    rest = log_one_minus.copy()
+    with np.errstate(divide="ignore"):
+        rest = np.log1p(-np.exp(log_probs))    # log(1 - p), accurate for p <= 1/2
     rest[label] = 0.0
+    rival = _rival(log_probs, label)
+    if rival is not None:
+        rest[rival] = _log_rest(log_probs, rival)
     return float(-(log_probs[label] + rest.sum()))
 
 
@@ -341,17 +347,30 @@ def forward(example, params: ModelParams, hp: HyperParams) -> ForwardTrace:
 # backward
 
 
-def _loss_grad_wrt_logits(probs, label: int, variant: str):
+def _loss_grad_wrt_logits(probs, log_probs, label: int, variant: str):
     if variant == "softmax_ce":
         d_logits = probs.copy()
         d_logits[label] -= 1.0
         return d_logits
-    # the extra -log(1 - p_i) terms add p_i / (1 - p_i) pressure on every
-    # non-label probability; route through the softmax Jacobian in one pass
+    # the extra -log(1 - p_i) terms add g_i = p_i / (1 - p_i) pressure on
+    # every non-label probability; route through the softmax Jacobian in
+    # one pass: d_logits = g - p * sum(g), with g_label = -1
     with np.errstate(divide="ignore", invalid="ignore"):
         g = probs / (1.0 - probs)
     g[label] = -1.0
-    return g - probs * g.sum()
+    rival = _rival(log_probs, label)
+    if rival is None:
+        return g - probs * g.sum()
+    # a rival with p > 1/2 has a g that may overflow; take it out of the sum
+    # and form its products in log space: g_r * (1 - p_r) = p_r, and
+    # p_k * g_r = exp(log p_k + log p_r - log(1 - p_r)) <= 1
+    log_pg = log_probs + (log_probs[rival] - _log_rest(log_probs, rival))
+    log_pg[rival] = -np.inf
+    g[rival] = 0.0
+    others = g.sum()
+    d_logits = g - probs * others - np.exp(log_pg)
+    d_logits[rival] = probs[rival] * (1.0 - others)
+    return d_logits
 
 
 def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradients:
@@ -364,7 +383,7 @@ def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradi
     graph = trace.graph
     n = len(trace.prefix)
 
-    d_logits = _loss_grad_wrt_logits(trace.probs, trace.label, hp.loss_variant)
+    d_logits = _loss_grad_wrt_logits(trace.probs, trace.log_probs, trace.label, hp.loss_variant)
     grads["emb"] += np.outer(d_logits, trace.blend)     # candidate side of the score
     d_blend = params.emb.T @ d_logits
 
@@ -486,6 +505,7 @@ def relative_gradient_error(analytic: Gradients, numeric: Gradients, floor: floa
         g_ana = analytic[name]
         denom = np.maximum(np.abs(g_num), floor)
         err = np.abs(g_ana - g_num) / denom
+        err[np.isnan(err)] = np.inf     # a NaN on either side is a failure, not a pass
         if err.size:
             worst = max(worst, float(err.max()))
     return worst

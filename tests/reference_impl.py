@@ -140,6 +140,34 @@ def ref_forward(prefix, label, params, *, gnn_steps=1, variant="casif",
     return value, np.array(probs), np.array(logits), np.array(alpha)
 
 
+def _logsumexp(values) -> float:
+    peak = max(values)
+    return peak + math.log(sum(math.exp(v - peak) for v in values))
+
+
+def ref_eq13(logits, label):
+    """eq13 loss and its gradient with respect to the logits.
+
+    -log(1 - p_i) is written as logsumexp(all) - logsumexp(all but i), so
+    no 1 - p is ever formed and every term stays exact at any logit gap.
+    Its derivative in z_k is p_k - exp(z_k - logsumexp(all but i)), or p_k
+    when k = i.  O(N^2); toy sizes only.
+    """
+    m = len(logits)
+    total = _logsumexp(logits)
+    without = [_logsumexp([logits[j] for j in range(m) if j != i]) for i in range(m)]
+    value = total - logits[label] + sum(total - without[i] for i in range(m) if i != label)
+    grad = []
+    for k in range(m):
+        p_k = math.exp(logits[k] - total)
+        g = p_k - (1.0 if k == label else 0.0)
+        for i in range(m):
+            if i != label:
+                g += p_k - (0.0 if i == k else math.exp(logits[k] - without[i]))
+        grad.append(g)
+    return value, grad
+
+
 # ---------------------------------------------------------------------------
 # ranking metrics
 

@@ -35,6 +35,18 @@ class TestAnalyticAgainstFiniteDifferences:
         numeric = finite_difference_grad(example, params, hp)
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
+    def test_large_logit_gap(self):
+        # a non-label item outscores the rest by 40, so its 1 - p rounds to 0
+        for variant in ("casif", "casif_s"):
+            example, params, hp = make_case(seed=3, variant=variant)
+            blend = forward(example, params, hp).blend
+            params.emb[5] += 40.0 * blend / (blend @ blend)
+            trace = forward(example, params, hp)
+            assert trace.probs[5] == 1.0 and np.isfinite(trace.loss)
+            analytic = backward(trace, params, hp)
+            numeric = finite_difference_grad(example, params, hp)
+            assert relative_gradient_error(analytic, numeric) < 1e-4, variant
+
     def test_gradient_shapes_and_determinism(self):
         example, params, hp = make_case()
         g1 = backward(forward(example, params, hp), params, hp)

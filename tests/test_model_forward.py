@@ -5,6 +5,8 @@ import pytest
 
 from casif import HyperParams, ModelParams, PrefixExample, forward, init_params, loss
 from casif.model import (
+    _loss_grad_wrt_logits,
+    _softmax_with_log,
     _tensor_shapes,
     attention_global_interest,
     casif_s_attention,
@@ -13,7 +15,7 @@ from casif.model import (
     session_mean_pool,
 )
 from casif.graph import build_session_graph
-from reference_impl import ref_forward
+from reference_impl import ref_eq13, ref_forward
 
 
 def zero_params(num_items, d, variant="casif", emb=None):
@@ -253,3 +255,29 @@ class TestComponentShapes:
         logits, probs = score_and_predict(np.ones(3), np.ones(3) * 0.5, emb)
         assert logits.shape == (4,) and abs(probs.sum() - 1.0) < 1e-12
         assert np.array_equal(logits, emb @ (np.ones(3) * 0.5))
+
+
+class TestExtremeLogits:
+    """eq13 stays finite and exact when one item dominates the softmax."""
+
+    @pytest.mark.parametrize("gap", [20.0, 37.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("label", [0, 5])
+    def test_loss_and_gradient_match_reference(self, gap, label):
+        # item 5 leads the other nine by `gap`; with label 0 it is a rival
+        # whose 1 - p rounds to 0 in float64 from a gap of about 37
+        logits = np.zeros(10)
+        logits[5] = gap
+        probs, log_probs = _softmax_with_log(logits)
+        got = loss(probs, label, "eq13", log_probs=log_probs)
+        grad = _loss_grad_wrt_logits(probs, log_probs, label, "eq13")
+        ref_value, ref_grad = ref_eq13(logits.tolist(), label)
+        assert math.isfinite(got) and np.isfinite(grad).all()
+        assert got == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+        assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+
+    def test_rival_gradient_sums_to_zero(self):
+        # adding a constant to every logit leaves the loss unchanged
+        logits = np.array([0.0, 3.0, 1000.0, -2.0])
+        probs, log_probs = _softmax_with_log(logits)
+        grad = _loss_grad_wrt_logits(probs, log_probs, 0, "eq13")
+        assert abs(grad.sum()) < 1e-12
