@@ -334,7 +334,7 @@ def load_vocab(path, num_items: int) -> ItemVocabulary:
     """
     index_to_raw: list = [None] * num_items
     raw_to_index: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:    # bytes: json.loads decodes, so bad UTF-8 names its line
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -342,7 +342,7 @@ def load_vocab(path, num_items: int) -> ItemVocabulary:
             try:
                 rec = json.loads(line)
                 raw, index = rec["raw"], rec["index"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{where}: malformed record: {exc}") from exc
             if not isinstance(raw, str) or not isinstance(index, int) or isinstance(index, bool):
                 raise DataError(f"{where}: malformed record: raw must be a string, index an integer")

@@ -192,7 +192,7 @@ class TestExitCodes:
 
 
 def corrupt_vocab(lines, how):
-    """Vocabulary lines with one defect: a gap, a repeat, junk, or one item too many."""
+    """Vocabulary file lines, as bytes, with the one defect `how` names (see VOCAB_DEFECTS)."""
     recs = [json.loads(line) for line in lines]
     if how == "missing_index":
         recs = [r for r in recs if r["index"] != 1]
@@ -200,13 +200,15 @@ def corrupt_vocab(lines, how):
         recs = [r if r["index"] != 1 else {"raw": "dup", "index": 0} for r in recs]
     elif how == "extra_item":
         recs.append({"raw": "extra", "index": len(recs)})
-    out = [json.dumps(r) + "\n" for r in recs]
+    out = [(json.dumps(r) + "\n").encode() for r in recs]
     if how == "not_json":
-        out.insert(1, "this is not json\n")
+        out.insert(1, b"this is not json\n")
+    elif how == "not_utf8":
+        out.insert(1, b'{"raw": "\xff", "index": 0}\n')
     return out
 
 
-VOCAB_DEFECTS = ["missing_index", "duplicate_index", "not_json", "extra_item"]
+VOCAB_DEFECTS = ["missing_index", "duplicate_index", "not_json", "not_utf8", "extra_item"]
 
 
 class TestBadVocabulary:
@@ -218,7 +220,7 @@ class TestBadVocabulary:
             dataset = tmp_path / "dataset.jsonl"
             shutil.copy(pipeline["data"] / "dataset.jsonl", dataset)
             lines = open(pipeline["data"] / "dataset.jsonl.vocab").readlines()
-            with open(f"{dataset}.vocab", "w") as fh:
+            with open(f"{dataset}.vocab", "wb") as fh:
                 fh.writelines(corrupt_vocab(lines, how))
             return dataset
         return make

@@ -257,6 +257,7 @@ class TestPersistence:
         ("missing_index", "2 entries for 3 items"),
         ("duplicate_index", r"line 2: index 0 listed twice"),
         ("not_json", r"line 2: malformed record"),
+        ("not_utf8", r"line 2: malformed record"),
         ("extra_item", r"line 4: index 3 out of range"),
     ])
     def test_bad_vocab_rejected(self, tmp_path, how, message):
@@ -264,7 +265,7 @@ class TestPersistence:
         persist_dataset(self.make_ds(), path)
         vocab_path = f"{path}.vocab"
         lines = corrupt_vocab(open(vocab_path).readlines(), how)
-        with open(vocab_path, "w") as fh:
+        with open(vocab_path, "wb") as fh:
             fh.writelines(lines)
         with pytest.raises(DataError, match=message):
             load_dataset(path)
