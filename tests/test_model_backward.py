@@ -75,6 +75,13 @@ class TestFiniteDifferenceOracleItself:
                 flat[idx] = orig
                 assert numeric[name].reshape(-1)[idx] == (up - down) / 2e-5
 
+    def test_nan_counts_as_failure(self):
+        # a NaN on either side must fail the check, not vanish from the maximum
+        good = {"w": np.array([1.0, 2.0])}
+        bad = {"w": np.array([1.0, np.nan])}
+        assert relative_gradient_error(bad, good) == np.inf
+        assert relative_gradient_error(good, bad) == np.inf
+
     def test_perturbations_restored(self):
         example, params, hp = make_case(seed=5)
         before = {name: arr.copy() for name, arr in params.tensors()}
