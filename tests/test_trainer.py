@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -261,6 +262,15 @@ class TestCheckpointFormat:
         _, _, path = self.roundtrip(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[:-1])
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_oversized_header_is_truncation(self, tmp_path):
+        # a corrupt header asking for far more tensor bytes than the file holds
+        _, _, path = self.roundtrip(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[6:14] = struct.pack("<II", 2**31, 2**32 - 1)   # d, num_items
+        path.write_bytes(bytes(data))
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
