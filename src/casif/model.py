@@ -109,7 +109,7 @@ class ModelParams:
         return self.emb.shape[1]
 
     def tensor_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self) if getattr(self, f.name) is not None)
+        return _TENSOR_NAMES["casif" if self.att_simple_w is None else "casif_s"]
 
     def tensors(self):
         """(name, array) pairs in the fixed declared order."""
@@ -128,6 +128,9 @@ def _tensor_shapes(num_items: int, d: int, variant: str):
     dims = {"items": num_items, "d": d, "2d": 2 * d}
     return {f.name: tuple(dims[x] for x in f.metadata["shape"])
             for f in fields(ModelParams) if f.metadata["variant"] in (None, variant)}
+
+
+_TENSOR_NAMES = {variant: tuple(_tensor_shapes(1, 1, variant)) for variant in VARIANTS}
 
 
 def init_params(num_items: int, hp: HyperParams, seed: int) -> ModelParams:
