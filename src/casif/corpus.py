@@ -247,11 +247,8 @@ def build_vocab_and_reindex(train_sessions, test_sessions, provenance: dict | No
 
 
 def reindexed_sessions(train_sessions, test_sessions, vocab: ItemVocabulary):
-    """The integer-indexed sessions behind a dataset.
-
-    Test items missing from the vocabulary are removed; test sessions left
-    shorter than two items are dropped.
-    """
+    """The integer-indexed sessions behind a dataset: test items missing from
+    the vocabulary are removed, then test sessions shorter than two dropped."""
     train = [[vocab.raw_to_index[it] for it in s.items] for s in train_sessions]
     test = []
     for s in test_sessions:

@@ -208,16 +208,14 @@ def _softmax_with_log(logits):
 
 
 def _rival(log_probs, label: int):
-    """The non-label item with p > 1/2 (at most one exists), or None."""
+    """(index, log(1 - p)) of the non-label item with p > 1/2 (at most one exists), or
+    (None, 0.0).  Its 1 - p is the others' mass: their logsumexp is exact where p rounds to 1."""
     top = int(np.argmax(log_probs))
-    return top if top != label and log_probs[top] > -np.log(2.0) else None
-
-
-def _log_rest(log_probs, i: int) -> float:
-    """log(1 - p_i), exactly: the logsumexp of every other item's log-probability."""
-    others = np.delete(log_probs, i)
+    if top == label or log_probs[top] <= -np.log(2.0):
+        return None, 0.0
+    others = np.delete(log_probs, top)
     peak = others.max()
-    return float(peak + np.log(np.exp(others - peak).sum()))
+    return top, float(peak + np.log(np.exp(others - peak).sum()))
 
 
 def _ggnn_steps(graph: SessionGraph, params: ModelParams, steps: int):
@@ -302,9 +300,9 @@ def loss(probs, label: int, variant: str = "eq13", log_probs=None) -> float:
     with np.errstate(divide="ignore"):
         rest = np.log1p(-np.exp(log_probs))    # log(1 - p), accurate for p <= 1/2
     rest[label] = 0.0
-    rival = _rival(log_probs, label)
+    rival, log_rest = _rival(log_probs, label)
     if rival is not None:
-        rest[rival] = _log_rest(log_probs, rival)
+        rest[rival] = log_rest
     return float(-(log_probs[label] + rest.sum()))
 
 
@@ -361,13 +359,13 @@ def _loss_grad_wrt_logits(probs, log_probs, label: int, variant: str):
     with np.errstate(divide="ignore", invalid="ignore"):
         g = probs / (1.0 - probs)
     g[label] = -1.0
-    rival = _rival(log_probs, label)
+    rival, log_rest = _rival(log_probs, label)
     if rival is None:
         return g - probs * g.sum()
     # a rival with p > 1/2 has a g that may overflow; take it out of the sum
     # and form its products in log space: g_r * (1 - p_r) = p_r, and
     # p_k * g_r = exp(log p_k + log p_r - log(1 - p_r)) <= 1
-    log_pg = log_probs + (log_probs[rival] - _log_rest(log_probs, rival))
+    log_pg = log_probs + (log_probs[rival] - log_rest)
     log_pg[rival] = -np.inf
     g[rival] = 0.0
     others = g.sum()
