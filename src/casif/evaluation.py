@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import HyperParams, ModelParams, forward
+from .model import HyperParams, ModelParams, forward_batch, sub_batches
 
 DEFAULT_KS = (5, 10, 20)
 SHORT_MAX_LEN = 5
@@ -24,19 +24,25 @@ BUCKETS = ("all", "short", "long")
 def rank_topk(scores, k: int) -> np.ndarray:
     """Indices of the k highest scores, ties to the smaller index."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not 1 <= k <= scores.shape[0]:
-        raise ConfigError(f"k must be in [1, {scores.shape[0]}], got {k}")
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:k]
+    n = scores.shape[0]
+    if not 1 <= k <= n:
+        raise ConfigError(f"k must be in [1, {n}], got {k}")
+    # every score at or above the k-th largest, in index order; a stable sort keeps ties there
+    candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+
+
+def _label_ranks(scores, labels) -> np.ndarray:
+    """1-based rank of each row's label in (B, N) scores, under the rank_topk ordering."""
+    s = scores[np.arange(labels.shape[0]), labels][:, None]
+    tied_before = (scores == s) & (np.arange(scores.shape[1]) < labels[:, None])
+    return 1 + np.count_nonzero(scores > s, axis=1) + np.count_nonzero(tied_before, axis=1)
 
 
 def label_rank(scores, label: int) -> int:
     """1-based rank of the label under the rank_topk ordering."""
     scores = np.asarray(scores, dtype=np.float64)
-    s = scores[label]
-    better = int((scores > s).sum())
-    tied_before = int((scores[:label] == s).sum())
-    return 1 + better + tied_before
+    return int(_label_ranks(scores[None], np.array([label]))[0])
 
 
 @dataclass
@@ -106,12 +112,11 @@ def evaluate_model(params: ModelParams, hp: HyperParams, examples, ks=DEFAULT_KS
     for k in ks:
         if not 1 <= k <= params.num_items:
             raise ConfigError(f"cutoff k={k} out of range for {params.num_items} items")
-    ranks, lengths = [], []
-    for ex in examples:
-        trace = forward(ex, params, hp)
-        ranks.append(label_rank(trace.logits, ex.label))
-        lengths.append(len(ex.prefix))
-    return _report_from_ranks(ranks, lengths, ks)
+    ranks = np.empty(len(examples), dtype=np.int64)
+    for rows in sub_batches(examples, params.num_items, hp):
+        trace = forward_batch([examples[i] for i in rows], params, hp)
+        ranks[rows] = _label_ranks(trace.logits, trace.labels)
+    return _report_from_ranks(ranks, [len(ex.prefix) for ex in examples], ks)
 
 
 def popularity_scores(train_examples, num_items: int) -> np.ndarray:

@@ -1,29 +1,43 @@
 """The recommendation network and its hand-written gradients.
 
-One example flows through: embedding lookup of the session-graph nodes,
-a gated (GRU-style) propagation over the graph's incoming/outgoing weight
-matrices, expansion back to session positions, an attention readout that
-conditions each position's score on the last click and the mean-pooled
-session context, two small tanh layers blending general and current
-interest, and a bilinear score against every item embedding followed by
-softmax.  The simplified variant ("casif_s") replaces the readout with a
-per-position attention that sees nothing but the position itself, and
-scores the attention context directly.
+A batch of examples flows through one path: embedding lookup of the
+session-graph nodes, a gated (GRU-style) propagation over each graph's
+incoming/outgoing weight matrices, expansion back to session positions,
+an attention readout that conditions each position's score on the last
+click and the mean-pooled session context, two small tanh layers blending
+general and current interest, and a bilinear score against every item
+embedding followed by softmax.  The simplified variant ("casif_s")
+replaces the readout with a per-position attention that sees nothing but
+the position itself, and scores the attention context directly.
 
-Everything is float64 numpy.  ``backward`` is exact reverse-mode
-differentiation of the scalar loss; ``finite_difference_grad`` is the
-independent oracle it is tested against.
+The batch is padded to its largest graph, as in SR-GNN (Wu et al., AAAI
+2019): node states are (B, q, d), the adjacency matrices (B, q, q), and
+positions pick their node through a one-hot (B, n, q) alias matrix whose
+padded rows are zero.  Every product with a weight matrix is one 2-D
+GEMM over all B*q node rows or B*n position rows; the graph products are
+``np.matmul`` over the batch axis; the scores are one (B, d) @ (d, N)
+GEMM.  A padded node has no edges and no position and a padded position
+holds a zero latent, so padding adds exact zeros to every real value and
+gradient.  Training and evaluation cut each batch into sub-batches of
+similar prefix length (``sub_batches``) to bound the padding and the
+memory of one pass.  ``forward`` and ``backward`` of one example are the
+batch of one: ``ForwardTrace`` is row 0 of its ``BatchTrace``.
+
+Everything is float64 numpy.  ``backward_batch`` is exact reverse-mode
+differentiation of the batch's summed loss; ``finite_difference_grad``
+is the independent oracle it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .corpus import PrefixExample
 from .errors import ConfigError
-from .graph import SessionGraph, build_session_graph
+from .graph import GraphBatch, SessionGraph, build_graph_batch
 from .rng import STREAM_INIT, SplitMix64, substream_seed
 
 VARIANTS = ("casif", "casif_s")
@@ -151,99 +165,176 @@ def zero_gradients(params: ModelParams) -> Gradients:
     return {name: np.zeros_like(arr) for name, arr in params.tensors()}
 
 
+# Memory budget of one sub-batch's forward and backward pass.  Measured, one example
+# takes about 6 floats per catalog item (its score rows) plus 10 (gnn_steps + 2) per
+# position and embedding dimension (node states, gates, attention and their gradients).
+SUB_BATCH_BYTES = 1536 * 1024
+
+
+def sub_batches(examples, num_items: int, hp: HyperParams) -> list[list[int]]:
+    """Index lists cutting ``examples`` into sub-batches of similar prefix length.
+
+    The examples are stably sorted by prefix length, so a given list
+    always yields the same sub-batches, and cut before an example would
+    take its sub-batch past SUB_BATCH_BYTES.  Every sub-batch holds at
+    least one example.
+    """
+    chunks: list[list[int]] = []
+    for i in sorted(range(len(examples)), key=lambda i: len(examples[i].prefix)):
+        # sorted, so the newest example is the longest and sets the padded size
+        cost = 8 * (6 * num_items + 10 * (hp.gnn_steps + 2) * len(examples[i].prefix) * hp.d)
+        if chunks and (len(chunks[-1]) + 1) * cost <= SUB_BATCH_BYTES:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
+
+
 # ---------------------------------------------------------------------------
 # forward
 
 
 @dataclass
 class StepCache:
-    """Activations of one propagation step, kept for the backward pass."""
-    state: np.ndarray      # node states entering the step (q, d)
-    agg_in: np.ndarray     # aggregated incoming messages (q, d)
-    agg_out: np.ndarray    # aggregated outgoing messages (q, d)
-    msg: np.ndarray        # concatenated messages (q, 2d)
-    update: np.ndarray     # update gate (q, d)
-    reset: np.ndarray      # reset gate (q, d)
-    gated_state: np.ndarray  # reset * state (q, d)
-    cand: np.ndarray       # candidate state, tanh (q, d)
+    """Activations of one propagation step over all B*q node rows, kept for the backward pass."""
+    state: np.ndarray        # node states entering the step (B*q, d)
+    msg: np.ndarray          # aggregated incoming | outgoing messages (B*q, 2d)
+    update: np.ndarray       # update gate (B*q, d)
+    reset: np.ndarray        # reset gate (B*q, d)
+    gated_state: np.ndarray  # reset * state (B*q, d)
+    cand: np.ndarray         # candidate state, tanh (B*q, d)
 
 
 @dataclass
-class ForwardTrace:
-    """Everything one backward pass needs, cached from the forward pass."""
-    prefix: list
-    label: int
-    graph: SessionGraph
+class BatchTrace:
+    """Everything one backward pass needs, cached from the forward pass of a padded batch."""
+    graphs: GraphBatch
+    labels: np.ndarray         # (B,)
+    loss_variant: str
     steps: list
-    h_nodes: np.ndarray        # final node latents (q, d)
-    h_pos: np.ndarray          # per-position latents via the alias map (n, d)
-    session_mean: np.ndarray   # mean-pooled session context (d,)
-    att_gate: np.ndarray       # sigmoid inside the attention (n, d)
-    alpha: np.ndarray          # attention coefficients (n,), unnormalized
-    att_context: np.ndarray    # attention-weighted context (d,)
-    blend: np.ndarray          # vector scored against the embedding table (d,)
-    logits: np.ndarray         # (num_items,)
+    h_nodes: np.ndarray        # final node latents (B, q, d)
+    h_pos: np.ndarray          # per-position latents (B, n, d), zero where padded
+    session_mean: np.ndarray   # mean-pooled session context (B, d)
+    att_gate: np.ndarray       # sigmoid inside the attention (B, n, d)
+    alpha: np.ndarray          # attention coefficients (B, n), unnormalized
+    att_context: np.ndarray    # attention-weighted context (B, d)
+    blend: np.ndarray          # vectors scored against the embedding table (B, d)
+    logits: np.ndarray         # (B, num_items)
     log_probs: np.ndarray
     probs: np.ndarray
-    loss: float
     current_input: np.ndarray | None = None   # input of the current-interest layer
     general_state: np.ndarray | None = None   # tanh output, general interest
     current_state: np.ndarray | None = None   # tanh output, current interest
 
+    @cached_property
+    def losses(self) -> np.ndarray:
+        """Each example's loss (B,), computed when first read."""
+        return _losses(self.probs, self.log_probs, self.labels, self.loss_variant)
+
+
+_ROW_FIELDS = frozenset(f.name for f in fields(BatchTrace)) - {"graphs", "labels", "loss_variant", "steps"}
+
+
+class ForwardTrace:
+    """One example's trace: row 0 of the trace of a batch of one, which has no padding.
+
+    Every per-example BatchTrace field reads as that example's array
+    (``h_pos`` is (n, d), ``logits`` is (num_items,)); ``loss`` is computed
+    when first read.
+    """
+
+    def __init__(self, batch: BatchTrace, example):
+        self.batch = batch
+        self.prefix = list(example.prefix)
+        self.label = int(example.label)
+
+    def __getattr__(self, name):
+        if name not in _ROW_FIELDS:
+            raise AttributeError(name)
+        value = getattr(self.batch, name)
+        return None if value is None else value[0]
+
+    @property
+    def loss(self) -> float:
+        return float(self.batch.losses[0])
+
+    @property
+    def graph(self) -> SessionGraph:
+        return self.batch.graphs.graph(0)
+
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with np.errstate(over="ignore"):    # exp(-x) = inf below x = -709 gives the exact limit 0
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _rows(x, w):
+    """x @ w as one 2-D product over all leading indices of x."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
 def _softmax_with_log(logits):
-    shifted = logits - logits.max()
-    ez = np.exp(shifted)
-    total = ez.sum()
-    return ez / total, shifted - np.log(total)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    shifted -= np.log(total)        # in place: the log-probabilities
+    return probs, shifted
 
 
-def _rival(log_probs, label: int):
-    """(index, log(1 - p)) of the non-label item with p > 1/2 (at most one exists), or
-    (None, 0.0).  Its 1 - p is the others' mass: their logsumexp is exact where p rounds to 1."""
-    top = int(np.argmax(log_probs))
-    if top == label or log_probs[top] <= -np.log(2.0):
-        return None, 0.0
-    others = np.delete(log_probs, top)
-    peak = others.max()
-    return top, float(peak + np.log(np.exp(others - peak).sum()))
+def _rivals(log_probs, labels):
+    """(rows, items, log(1 - p)) for the rows of (B, N) log-probs in which a non-label item
+    holds p > 1/2 (at most one per row can).  That 1 - p is the other items' mass: their
+    logsumexp is exact where p rounds to 1."""
+    top = log_probs.argmax(axis=1)
+    rows = np.flatnonzero((top != labels) & (log_probs[np.arange(labels.shape[0]), top] > -np.log(2.0)))
+    items = top[rows]
+    others = log_probs[rows]
+    others[np.arange(rows.size), items] = -np.inf
+    peak = others.max(axis=1, keepdims=True)
+    return rows, items, peak[:, 0] + np.log(np.exp(others - peak).sum(axis=1))
 
 
-def _ggnn_steps(graph: SessionGraph, params: ModelParams, steps: int):
-    """Run the gated propagation, returning final states and per-step caches."""
-    state = params.emb[graph.nodes].copy()
+def _ggnn(nodes, m_in, m_out, params: ModelParams, steps: int):
+    """Gated propagation over padded graphs: final states (B, q, d) and per-step caches."""
+    batch, q = nodes.shape
+    d = params.d
+    state = params.emb[nodes.reshape(-1)]
     caches = []
     for _ in range(steps):
-        agg_in = graph.m_in @ (state @ params.w_in + params.b_in_inner) + params.b_in_outer
-        agg_out = graph.m_out @ (state @ params.w_out + params.b_out_inner) + params.b_out_outer
-        msg = np.concatenate([agg_in, agg_out], axis=1)
+        inner_in = (state @ params.w_in + params.b_in_inner).reshape(batch, q, d)
+        inner_out = (state @ params.w_out + params.b_out_inner).reshape(batch, q, d)
+        msg = np.concatenate([m_in @ inner_in + params.b_in_outer,
+                              m_out @ inner_out + params.b_out_outer], axis=2).reshape(-1, 2 * d)
         update = _sigmoid(msg @ params.gate_update_msg + state @ params.gate_update_self)
         reset = _sigmoid(msg @ params.gate_reset_msg + state @ params.gate_reset_self)
         gated_state = reset * state
         cand = np.tanh(msg @ params.gate_cand_msg + gated_state @ params.gate_cand_self)
-        caches.append(StepCache(state, agg_in, agg_out, msg, update, reset, gated_state, cand))
+        caches.append(StepCache(state, msg, update, reset, gated_state, cand))
         state = (1.0 - update) * state + update * cand
-    return state, caches
+    return state.reshape(batch, q, d), caches
 
 
 def ggnn_forward(graph: SessionGraph, params: ModelParams, hp: HyperParams) -> np.ndarray:
     """Final node latents after hp.gnn_steps synchronous propagation steps."""
-    h, _ = _ggnn_steps(graph, params, hp.gnn_steps)
-    return h
+    h, _ = _ggnn(np.array([graph.nodes]), graph.m_in[None], graph.m_out[None], params, hp.gnn_steps)
+    return h[0]
 
 
-def session_mean_pool(h_pos: np.ndarray) -> np.ndarray:
-    """Mean of the per-position latents (repeats included)."""
-    return h_pos.mean(axis=0)
+def session_mean_pool(h_pos: np.ndarray, lengths=None) -> np.ndarray:
+    """Mean of the per-position latents (repeats included) over axis -2.
+
+    A padded batch (B, n, d) passes its prefix lengths: its padded
+    positions hold zeros, so the sum is over the real ones.
+    """
+    return h_pos.sum(axis=-2) / (h_pos.shape[-2] if lengths is None else lengths[:, None])
+
+
+def _readout(h_pos, pre, params: ModelParams):
+    gate = _sigmoid(pre)
+    alpha = gate @ params.att_score
+    context = np.matmul(alpha[..., None, :], h_pos)[..., 0, :]
+    return alpha, context, gate
 
 
 def attention_global_interest(h_pos, h_last, session_mean, params: ModelParams):
@@ -251,23 +342,18 @@ def attention_global_interest(h_pos, h_last, session_mean, params: ModelParams):
 
     Coefficients are raw dot products against the gate output; they are
     deliberately not normalized across positions.  Returns (alpha, context)
-    plus the inner gate needed by the backward pass.
+    plus the inner gate needed by the backward pass.  Takes one example's
+    (n, d) positions or a padded batch's (B, n, d).
     """
-    pre = h_pos @ params.att_item + h_last @ params.att_last + session_mean @ params.att_mean + params.att_bias
-    gate = _sigmoid(pre)
-    alpha = gate @ params.att_score
-    context = alpha @ h_pos
-    return alpha, context, gate
+    cond = h_last @ params.att_last + session_mean @ params.att_mean + params.att_bias
+    return _readout(h_pos, _rows(h_pos, params.att_item) + cond[..., None, :], params)
 
 
 def casif_s_attention(h_pos, params: ModelParams):
     """Simplified attention: each position scored from itself alone."""
     if params.att_simple_w is None:
         raise ConfigError("simplified attention requires params built with variant='casif_s'")
-    gate = _sigmoid(h_pos @ params.att_simple_w + params.att_simple_b)
-    alpha = gate @ params.att_score
-    context = alpha @ h_pos
-    return alpha, context, gate
+    return _readout(h_pos, _rows(h_pos, params.att_simple_w) + params.att_simple_b, params)
 
 
 def interest_mlp(att_context, current_input, params: ModelParams):
@@ -279,9 +365,25 @@ def interest_mlp(att_context, current_input, params: ModelParams):
 
 def score_and_predict(general_state, current_state, emb):
     """Bilinear scores against every item embedding, and their softmax."""
-    logits = emb @ (general_state * current_state)
+    logits = (general_state * current_state) @ emb.T
     probs, _ = _softmax_with_log(logits)
     return logits, probs
+
+
+def _losses(probs, log_probs, labels, variant: str) -> np.ndarray:
+    """Each row's loss, from (B, N) probabilities and (B,) labels; see ``loss``."""
+    rows = np.arange(labels.shape[0])
+    label_term = log_probs[rows, labels]
+    if variant == "softmax_ce":
+        return -label_term
+    if variant != "eq13":
+        raise ConfigError(f"unknown loss variant {variant!r}")
+    with np.errstate(divide="ignore"):
+        rest = np.log1p(-probs)    # log(1 - p), accurate for p <= 1/2
+    rest[rows, labels] = 0.0
+    rival_rows, rivals, log_rest = _rivals(log_probs, labels)
+    rest[rival_rows, rivals] = log_rest
+    return -(label_term + rest.sum(axis=1))
 
 
 def loss(probs, label: int, variant: str = "eq13", log_probs=None) -> float:
@@ -290,36 +392,25 @@ def loss(probs, label: int, variant: str = "eq13", log_probs=None) -> float:
     "eq13" charges -log p(label) plus -log(1 - p) for every other item;
     "softmax_ce" is plain cross entropy.  Both are evaluated in log space.
     """
+    probs = np.asarray(probs)
     if log_probs is None:
         with np.errstate(divide="ignore"):
             log_probs = np.log(probs)
-    if variant == "softmax_ce":
-        return float(-log_probs[label])
-    if variant != "eq13":
-        raise ConfigError(f"unknown loss variant {variant!r}")
-    with np.errstate(divide="ignore"):
-        rest = np.log1p(-np.exp(log_probs))    # log(1 - p), accurate for p <= 1/2
-    rest[label] = 0.0
-    rival, log_rest = _rival(log_probs, label)
-    if rival is not None:
-        rest[rival] = log_rest
-    return float(-(log_probs[label] + rest.sum()))
+    return float(_losses(probs[None], np.asarray(log_probs)[None], np.array([label]), variant)[0])
 
 
-def forward(example, params: ModelParams, hp: HyperParams) -> ForwardTrace:
-    """Full forward pass of one (prefix, label) example, trace retained."""
-    prefix = list(example.prefix)
-    label = int(example.label)
-    if not prefix:
-        raise ValueError("example prefix must be non-empty")
-    if any(i < 0 or i >= params.num_items for i in prefix) or not 0 <= label < params.num_items:
-        raise ValueError("example contains item indices outside the vocabulary")
+def forward_batch(examples, params: ModelParams, hp: HyperParams) -> BatchTrace:
+    """Forward pass of a list of (prefix, label) examples as one padded batch, trace retained."""
+    graphs = build_graph_batch([ex.prefix for ex in examples])
+    for ex in examples:
+        if min(ex.prefix) < 0 or max(ex.prefix) >= params.num_items or not 0 <= ex.label < params.num_items:
+            raise ValueError("example contains item indices outside the vocabulary")
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
 
-    graph = build_session_graph(prefix)
-    h_nodes, caches = _ggnn_steps(graph, params, hp.gnn_steps)
-    h_pos = h_nodes[graph.alias]
-    mean = session_mean_pool(h_pos)
-    h_last = h_pos[-1]
+    h_nodes, caches = _ggnn(graphs.nodes, graphs.m_in, graphs.m_out, params, hp.gnn_steps)
+    h_pos = graphs.pick @ h_nodes
+    mean = session_mean_pool(h_pos, graphs.lengths)
+    h_last = h_pos[np.arange(labels.shape[0]), graphs.lengths - 1]
 
     general_state = current_state = current_input = None
     if hp.variant == "casif":
@@ -331,78 +422,81 @@ def forward(example, params: ModelParams, hp: HyperParams) -> ForwardTrace:
         alpha, context, gate = casif_s_attention(h_pos, params)
         blend = context
 
-    logits = params.emb @ blend
+    logits = blend @ params.emb.T
     probs, log_probs = _softmax_with_log(logits)
-    value = loss(probs, label, hp.loss_variant, log_probs=log_probs)
-
-    return ForwardTrace(
-        prefix=prefix, label=label, graph=graph, steps=caches,
+    return BatchTrace(
+        graphs=graphs, labels=labels, loss_variant=hp.loss_variant, steps=caches,
         h_nodes=h_nodes, h_pos=h_pos, session_mean=mean,
         att_gate=gate, alpha=alpha, att_context=context, blend=blend,
-        logits=logits, log_probs=log_probs, probs=probs, loss=value,
+        logits=logits, log_probs=log_probs, probs=probs,
         current_input=current_input, general_state=general_state, current_state=current_state,
     )
+
+
+def forward(example, params: ModelParams, hp: HyperParams) -> ForwardTrace:
+    """Full forward pass of one (prefix, label) example: the batch of one."""
+    return ForwardTrace(forward_batch([example], params, hp), example)
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 
-def _loss_grad_wrt_logits(probs, log_probs, label: int, variant: str):
+def _loss_grad_wrt_logits(probs, log_probs, labels, variant: str):
+    """Gradient of each row's loss with respect to its logits, (B, N)."""
+    rows = np.arange(labels.shape[0])
     if variant == "softmax_ce":
         d_logits = probs.copy()
-        d_logits[label] -= 1.0
+        d_logits[rows, labels] -= 1.0
         return d_logits
     # the extra -log(1 - p_i) terms add g_i = p_i / (1 - p_i) pressure on
     # every non-label probability; route through the softmax Jacobian in
     # one pass: d_logits = g - p * sum(g), with g_label = -1
     with np.errstate(divide="ignore", invalid="ignore"):
         g = probs / (1.0 - probs)
-    g[label] = -1.0
-    rival, log_rest = _rival(log_probs, label)
-    if rival is None:
-        return g - probs * g.sum()
-    # a rival with p > 1/2 has a g that may overflow; take it out of the sum
-    # and form its products in log space: g_r * (1 - p_r) = p_r, and
+    g[rows, labels] = -1.0
+    rival_rows, rivals, log_rest = _rivals(log_probs, labels)
+    g[rival_rows, rivals] = 0.0     # a rival's g may overflow: out of the sum, handled below
+    total = g.sum(axis=1, keepdims=True)
+    g -= probs * total
+    # a rival's products in log space: g_r * (1 - p_r) = p_r, and
     # p_k * g_r = exp(log p_k + log p_r - log(1 - p_r)) <= 1
-    log_pg = log_probs + (log_probs[rival] - log_rest)
-    log_pg[rival] = -np.inf
-    g[rival] = 0.0
-    others = g.sum()
-    d_logits = g - probs * others - np.exp(log_pg)
-    d_logits[rival] = probs[rival] * (1.0 - others)
-    return d_logits
+    log_pg = log_probs[rival_rows] + (log_probs[rival_rows, rivals] - log_rest)[:, None]
+    log_pg[np.arange(rival_rows.size), rivals] = -np.inf
+    g[rival_rows] -= np.exp(log_pg)
+    g[rival_rows, rivals] = probs[rival_rows, rivals] * (1.0 - total[rival_rows, 0])
+    return g
 
 
-def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradients:
-    """Exact gradient of trace.loss with respect to every parameter.
+def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grads=None) -> Gradients:
+    """Exact gradient of the batch's summed loss, added into ``grads`` (fresh zeros if None).
 
-    The embedding table accumulates from both of its roles: rows looked up
-    as graph nodes, and every row as a score candidate.
+    The embedding table accumulates from both of its roles: every row as
+    a score candidate, in one (N, B) @ (B, d) product, and the rows looked
+    up as graph nodes, in one ``np.add.at``.
     """
-    grads = zero_gradients(params)
-    graph = trace.graph
-    n = len(trace.prefix)
+    if grads is None:
+        grads = zero_gradients(params)
+    graphs = trace.graphs
+    batch, q, d = trace.h_nodes.shape
+    rows, last = np.arange(batch), graphs.lengths - 1
 
-    d_logits = _loss_grad_wrt_logits(trace.probs, trace.log_probs, trace.label, hp.loss_variant)
-    grads["emb"] += np.outer(d_logits, trace.blend)     # candidate side of the score
-    d_blend = params.emb.T @ d_logits
+    d_logits = _loss_grad_wrt_logits(trace.probs, trace.log_probs, trace.labels, hp.loss_variant)
+    grads["emb"] += d_logits.T @ trace.blend           # candidate side of the score
+    d_blend = d_logits @ params.emb
 
-    d_h_pos = np.zeros_like(trace.h_pos)
     if hp.variant == "casif":
-        d_general = d_blend * trace.current_state
-        d_current = d_blend * trace.general_state
-        d_general_pre = d_general * (1.0 - trace.general_state ** 2)
-        d_current_pre = d_current * (1.0 - trace.current_state ** 2)
-        grads["mlp_general_w"] += np.outer(trace.att_context, d_general_pre)
-        grads["mlp_general_b"] += d_general_pre
-        grads["mlp_current_w"] += np.outer(trace.current_input, d_current_pre)
-        grads["mlp_current_b"] += d_current_pre
-        d_context = params.mlp_general_w @ d_general_pre
-        d_current_in = params.mlp_current_w @ d_current_pre
-        d_h_last = np.zeros(params.d)
+        d_general_pre = d_blend * trace.current_state * (1.0 - trace.general_state ** 2)
+        d_current_pre = d_blend * trace.general_state * (1.0 - trace.current_state ** 2)
+        grads["mlp_general_w"] += trace.att_context.T @ d_general_pre
+        grads["mlp_general_b"] += d_general_pre.sum(axis=0)
+        grads["mlp_current_w"] += trace.current_input.T @ d_current_pre
+        grads["mlp_current_b"] += d_current_pre.sum(axis=0)
+        d_context = d_general_pre @ params.mlp_general_w.T
+        d_current_in = d_current_pre @ params.mlp_current_w.T
+        d_h_last = 0.0
         if hp.current_interest_input == "h_n":
-            d_h_last += d_current_in
+            d_h_last = d_current_in
         else:
             d_context += d_current_in
         w_name, b_name = "att_item", "att_bias"
@@ -411,28 +505,27 @@ def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradi
         w_name, b_name = "att_simple_w", "att_simple_b"
 
     # attention: alpha = gate @ att_score, context = alpha @ h_pos, gate = sigmoid(h_pos @ w + b),
-    # plus the last-click and session-mean terms in casif
-    d_alpha = trace.h_pos @ d_context
-    d_h_pos += np.outer(trace.alpha, d_context)
-    d_gate = np.outer(d_alpha, params.att_score)
-    grads["att_score"] += trace.att_gate.T @ d_alpha
-    d_pre = d_gate * trace.att_gate * (1.0 - trace.att_gate)
-    grads[w_name] += trace.h_pos.T @ d_pre
-    d_h_pos += d_pre @ getattr(params, w_name).T
-    col = d_pre.sum(axis=0)
-    grads[b_name] += col
+    # plus the last-click and session-mean terms in casif.  Padded positions have a zero
+    # latent, so d_alpha and d_pre are zero there and they add nothing to any weight.
+    h_pos, gate = trace.h_pos, trace.att_gate
+    d_alpha = np.matmul(h_pos, d_context[:, :, None])[:, :, 0]
+    d_h_pos = trace.alpha[:, :, None] * d_context[:, None, :]
+    grads["att_score"] += gate.reshape(-1, d).T @ d_alpha.reshape(-1)
+    d_pre = d_alpha[:, :, None] * params.att_score * gate * (1.0 - gate)
+    grads[w_name] += h_pos.reshape(-1, d).T @ d_pre.reshape(-1, d)
+    d_h_pos += _rows(d_pre, getattr(params, w_name).T)
+    col = d_pre.sum(axis=1)
+    grads[b_name] += col.sum(axis=0)
     if hp.variant == "casif":
-        grads["att_last"] += np.outer(trace.h_pos[-1], col)
-        d_h_last += params.att_last @ col
-        grads["att_mean"] += np.outer(trace.session_mean, col)
-        d_h_pos += (params.att_mean @ col) / n   # mean pooling fans out uniformly
-        d_h_pos[-1] += d_h_last
+        grads["att_last"] += h_pos[rows, last].T @ col
+        d_h_last = d_h_last + col @ params.att_last.T
+        grads["att_mean"] += trace.session_mean.T @ col
+        d_h_pos += ((col @ params.att_mean.T) / graphs.lengths[:, None])[:, None, :]  # mean fans out
+        d_h_pos[rows, last] += d_h_last
 
-    # positions -> nodes (alias may repeat a node)
-    d_state = np.zeros_like(trace.h_nodes)
-    np.add.at(d_state, graph.alias, d_h_pos)
+    # positions -> nodes (alias may repeat a node; padded positions pick none)
+    d_state = (graphs.pick.transpose(0, 2, 1) @ d_h_pos).reshape(-1, d)
 
-    dim = params.d
     for cache in reversed(trace.steps):
         d_update = d_state * (cache.cand - cache.state)
         d_cand = d_state * cache.update
@@ -458,31 +551,37 @@ def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradi
         d_msg += d_reset_pre @ params.gate_reset_msg.T
         d_prev += d_reset_pre @ params.gate_reset_self.T
 
-        d_agg_in, d_agg_out = d_msg[:, :dim], d_msg[:, dim:]
-        grads["b_in_outer"] += d_agg_in.sum(axis=0)
-        d_inner = graph.m_in.T @ d_agg_in
-        grads["w_in"] += cache.state.T @ d_inner
-        grads["b_in_inner"] += d_inner.sum(axis=0)
-        d_prev += d_inner @ params.w_in.T
-
-        grads["b_out_outer"] += d_agg_out.sum(axis=0)
-        d_inner = graph.m_out.T @ d_agg_out
-        grads["w_out"] += cache.state.T @ d_inner
-        grads["b_out_inner"] += d_inner.sum(axis=0)
-        d_prev += d_inner @ params.w_out.T
+        d_agg = d_msg.reshape(batch, q, 2 * d)
+        for m, half, w, b_inner, b_outer in (
+                (graphs.m_in, slice(None, d), "w_in", "b_in_inner", "b_in_outer"),
+                (graphs.m_out, slice(d, None), "w_out", "b_out_inner", "b_out_outer")):
+            grads[b_outer] += d_msg[:, half].sum(axis=0)
+            d_inner = (m.transpose(0, 2, 1) @ d_agg[:, :, half]).reshape(-1, d)
+            grads[w] += cache.state.T @ d_inner
+            grads[b_inner] += d_inner.sum(axis=0)
+            d_prev += d_inner @ getattr(params, w).T
 
         d_state = d_prev
 
-    grads["emb"][graph.nodes] += d_state   # lookup side; nodes are distinct
+    mask = graphs.node_mask   # lookup side; a node may recur across the batch
+    np.add.at(grads["emb"], graphs.nodes[mask], d_state.reshape(batch, q, d)[mask])
     return grads
 
 
-def finite_difference_grad(example, params: ModelParams, hp: HyperParams, h: float = 1e-5) -> Gradients:
-    """Central-difference gradient of the loss, coordinate by coordinate.
+def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradients:
+    """Exact gradient of trace.loss with respect to every parameter: the batch of one."""
+    return backward_batch(trace.batch, params, hp)
 
-    Independent check of ``backward``; cost is two forward passes per
-    parameter entry, so keep the model small.
+
+def finite_difference_grad(examples, params: ModelParams, hp: HyperParams, h: float = 1e-5) -> Gradients:
+    """Central-difference gradient of the summed loss of one example or a list of them.
+
+    Independent check of ``backward``, coordinate by coordinate; cost is
+    two forward passes per parameter entry, so keep the model small.  The
+    differences are taken per example and then summed, so each carries
+    the round-off of one example's loss, not of the larger sum.
     """
+    batch = list(examples) if isinstance(examples, (list, tuple)) else [examples]
     grads = {}
     for name, arr in params.tensors():
         g = np.zeros_like(arr)
@@ -490,11 +589,11 @@ def finite_difference_grad(example, params: ModelParams, hp: HyperParams, h: flo
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = forward(example, params, hp).loss
+            up = forward_batch(batch, params, hp).losses
             flat[i] = orig - h
-            down = forward(example, params, hp).loss
+            down = forward_batch(batch, params, hp).losses
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            gflat[i] = float((up - down).sum()) / (2.0 * h)
         grads[name] = g
     return grads
 
@@ -518,8 +617,9 @@ class GradCheckCase:
     variant: str
     loss_variant: str
     gnn_steps: int
-    prefix_len: int
+    prefix_len: int         # the longest prefix of the case
     rel_error: float
+    batch_size: int = 1
 
 
 def run_gradient_check(
@@ -529,36 +629,44 @@ def run_gradient_check(
     variants=VARIANTS,
     h: float = 1e-5,
     sabotage: bool = False,
+    batch_cases: int = 8,
 ) -> list[GradCheckCase]:
     """Compare backward against finite differences on small random instances.
 
-    Cases cycle through every (variant, loss variant, 1 or 2 propagation
-    steps) combination and prefix lengths 1..5, each with its own seed.
-    ``sabotage`` corrupts one analytic entry, for exercising the failure
-    path of callers.
+    ``num_cases`` single examples cycle through every (variant, loss
+    variant, 1 or 2 propagation steps) combination and prefix lengths
+    1..5, each with its own seed.  ``batch_cases`` more continue the cycle
+    on padded batches of 2 or 3 examples of mixed prefix lengths, checked
+    against finite differences of the batch's summed loss.  Both sides are
+    divided by the batch size first, so the error floor of
+    ``relative_gradient_error`` is that of one example.  ``sabotage``
+    corrupts one analytic entry, for exercising the failure path of callers.
     """
     combos = [(v, lv, steps) for v in variants for lv in LOSS_VARIANTS for steps in (1, 2)]
     cases = []
-    for i in range(num_cases):
+    for i in range(num_cases + batch_cases):
         variant, loss_variant, steps = combos[i % len(combos)]
-        prefix_len = 1 + i % 5
         hp = HyperParams(d=d, gnn_steps=steps, variant=variant, loss_variant=loss_variant)
         params = init_params(num_items, hp, seed=7000 + i)
         draws = SplitMix64(substream_seed(9000 + i, 4))
-        prefix = [int(x) for x in np.minimum(
-            (draws.uniform(prefix_len) * num_items).astype(np.int64), num_items - 1)]
-        label = int(min(int(draws.uniform(1)[0] * num_items), num_items - 1))
-        example = PrefixExample(prefix, label)
+        examples = []
+        for k in range(1 if i < num_cases else 2 + i % 2):
+            prefix_len = 1 + (i + 2 * k) % 5
+            prefix = [int(x) for x in np.minimum(
+                (draws.uniform(prefix_len) * num_items).astype(np.int64), num_items - 1)]
+            label = int(min(int(draws.uniform(1)[0] * num_items), num_items - 1))
+            examples.append(PrefixExample(prefix, label))
 
-        analytic = backward(forward(example, params, hp), params, hp)
+        scale = 1.0 / len(examples)
+        analytic = backward_batch(forward_batch(examples, params, hp), params, hp)
         if sabotage:
-            name = "emb"
-            analytic[name] = analytic[name].copy()
-            analytic[name].flat[0] += 1e-2
-        numeric = finite_difference_grad(example, params, hp, h=h)
+            analytic["emb"].flat[0] += 1e-2
+        numeric = finite_difference_grad(examples, params, hp, h=h)
+        rel_error = relative_gradient_error({name: g * scale for name, g in analytic.items()},
+                                            {name: g * scale for name, g in numeric.items()})
         cases.append(GradCheckCase(
-            seed=7000 + i, variant=variant, loss_variant=loss_variant,
-            gnn_steps=steps, prefix_len=prefix_len,
-            rel_error=relative_gradient_error(analytic, numeric),
+            seed=7000 + i, variant=variant, loss_variant=loss_variant, gnn_steps=steps,
+            prefix_len=max(len(ex.prefix) for ex in examples),
+            rel_error=rel_error, batch_size=len(examples),
         ))
     return cases

@@ -2,8 +2,9 @@
 
 Training is deterministic end to end: parameters come from the seeded
 init stream, each epoch's shuffle comes from its own substream keyed on
-(seed, epoch), batch gradients accumulate left to right, and checkpoints
-serialize every tensor bit-exactly.  Interrupting after epoch k and
+(seed, epoch), a batch always splits into the same sub-batches, whose
+gradients accumulate in a fixed order, and checkpoints serialize every
+tensor bit-exactly.  Interrupting after epoch k and
 resuming from the checkpoint reproduces the uninterrupted run, because
 nothing carries hidden state across epochs except the parameters and the
 optimizer moments, both of which the checkpoint holds.
@@ -35,9 +36,10 @@ from .model import (
     HyperParams,
     ModelParams,
     _tensor_shapes,
-    backward,
-    forward,
+    backward_batch,
+    forward_batch,
     init_params,
+    sub_batches,
     zero_gradients,
 )
 from .rng import STREAM_SHUFFLE, SplitMix64, substream_seed
@@ -203,11 +205,10 @@ def train(
         for batch_index, batch in enumerate(make_batches(dataset.train, cfg.batch_size, cfg.seed, epoch)):
             grads = zero_gradients(params)
             loss_sum = 0.0
-            for example in batch:           # strict left-to-right accumulation
-                trace = forward(example, params, hp)
-                loss_sum += trace.loss
-                for name, g in backward(trace, params, hp).items():
-                    grads[name] += g
+            for rows in sub_batches(batch, dataset.num_items, hp):
+                trace = forward_batch([batch[i] for i in rows], params, hp)
+                loss_sum += float(trace.losses.sum())
+                backward_batch(trace, params, hp, grads)
             scale = 1.0 / len(batch)
             for name, _ in params.tensors():
                 grads[name] *= scale
@@ -291,6 +292,8 @@ def load_checkpoint(path) -> Checkpoint:
             )
         except IndexError as exc:
             raise DataError(f"{path}: unknown code in header") from exc
+        except ConfigError as exc:
+            raise DataError(f"{path}: bad header: {exc}") from exc
 
         shapes = _tensor_shapes(num_items, d, hp.variant)
         end = os.fstat(fh.fileno()).st_size

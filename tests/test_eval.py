@@ -33,6 +33,22 @@ class TestRanking:
             for label in range(12):
                 assert label_rank(scores, label) == full.index(label) + 1
 
+    @pytest.mark.parametrize("n", [7, 200, 1364])
+    def test_topk_matches_full_lexsort(self, n):
+        # few distinct values, so ties sit at and across the k-th place
+        rng = np.random.default_rng(n)
+        for trial in range(40):
+            scores = rng.integers(0, 3 if trial % 2 else 30, size=n) / 4.0
+            order = np.lexsort((np.arange(n), -scores))
+            for k in sorted({1, 2, min(20, n), n // 2, n - 1, n}):
+                assert rank_topk(scores, k).tolist() == order[:k].tolist()
+
+    def test_tie_straddling_the_kth_place(self):
+        scores = np.array([1.0, 5.0, 3.0, 3.0, 0.0, 3.0])
+        assert rank_topk(scores, 2).tolist() == [1, 2]
+        assert rank_topk(scores, 3).tolist() == [1, 2, 3]
+        assert rank_topk(scores, 5).tolist() == [1, 2, 3, 5, 0]
+
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             rank_topk(np.zeros(4), 0)

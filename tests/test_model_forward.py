@@ -269,7 +269,7 @@ class TestExtremeLogits:
         logits[5] = gap
         probs, log_probs = _softmax_with_log(logits)
         got = loss(probs, label, "eq13", log_probs=log_probs)
-        grad = _loss_grad_wrt_logits(probs, log_probs, label, "eq13")
+        grad = _loss_grad_wrt_logits(probs[None], log_probs[None], np.array([label]), "eq13")[0]
         ref_value, ref_grad = ref_eq13(logits.tolist(), label)
         assert math.isfinite(got) and np.isfinite(grad).all()
         assert got == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
@@ -279,5 +279,5 @@ class TestExtremeLogits:
         # adding a constant to every logit leaves the loss unchanged
         logits = np.array([0.0, 3.0, 1000.0, -2.0])
         probs, log_probs = _softmax_with_log(logits)
-        grad = _loss_grad_wrt_logits(probs, log_probs, 0, "eq13")
+        grad = _loss_grad_wrt_logits(probs[None], log_probs[None], np.array([0]), "eq13")[0]
         assert abs(grad.sum()) < 1e-12
