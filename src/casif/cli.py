@@ -64,8 +64,11 @@ def cmd_preprocess(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(in_path, "r", encoding="utf-8") as fh:
-        parsed = corpus.parse_click_log(fh, _log_format(cfg), strict=cfg["strict_parse"])
+    try:
+        with open(in_path, "r", encoding="utf-8") as fh:
+            parsed = corpus.parse_click_log(fh, _log_format(cfg), strict=cfg["strict_parse"])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{in_path}: not UTF-8 text: {exc}") from exc
     sessions = corpus.sessionize_and_filter(
         parsed.events,
         min_item_support=cfg["min_item_support"],
@@ -243,7 +246,8 @@ def cmd_gradcheck(args) -> int:
     worst = max(case.rel_error for case in cases)
     for case in cases:
         print(f"seed {case.seed}  {case.variant:<8} {case.loss_variant:<11} "
-              f"steps {case.gnn_steps}  len {case.prefix_len}  rel_err {case.rel_error:.3e}")
+              f"steps {case.gnn_steps}  batch {case.batch_size}  len {case.prefix_len}  "
+              f"rel_err {case.rel_error:.3e}")
     print(f"worst relative error: {worst:.3e} over {len(cases)} cases (tolerance {args.tolerance:g})")
     if not worst < args.tolerance:
         print("gradcheck FAILED", file=sys.stderr)

@@ -286,38 +286,41 @@ def persist_dataset(ds: ProcessedDataset, path, vocab_path=None) -> None:
 def load_dataset(path, vocab_path=None) -> ProcessedDataset:
     """Inverse of persist_dataset; validates the header and every record."""
     vocab_path = vocab_path or f"{path}.vocab"
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line 1: not a JSON header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-            raise DataError(f"{path}: not a {DATASET_FORMAT} file")
-        if header.get("version") != DATASET_VERSION:
-            raise DataError(f"{path}: unsupported version {header.get('version')!r}")
-        num_items = header.get("num_items")
-        if not isinstance(num_items, int) or isinstance(num_items, bool) or num_items < 1:
-            raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
-        train: list[PrefixExample] = []
-        test: list[PrefixExample] = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header_line = fh.readline()
             try:
-                rec = json.loads(line)
-                split = rec["split"]
-                ex = PrefixExample([int(i) for i in rec["prefix"]], int(rec["label"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-            if split == "train":
-                train.append(ex)
-            elif split == "test":
-                test.append(ex)
-            else:
-                raise DataError(f"{path}: line {lineno}: unknown split {split!r}")
-            if any(i < 0 or i >= num_items for i in ex.prefix) or not 0 <= ex.label < num_items:
-                raise DataError(f"{path}: line {lineno}: item index out of range [0, {num_items})")
+                header = json.loads(header_line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: line 1: not a JSON header: {exc}") from exc
+            if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+                raise DataError(f"{path}: not a {DATASET_FORMAT} file")
+            if header.get("version") != DATASET_VERSION:
+                raise DataError(f"{path}: unsupported version {header.get('version')!r}")
+            num_items = header.get("num_items")
+            if not isinstance(num_items, int) or isinstance(num_items, bool) or num_items < 1:
+                raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
+            train: list[PrefixExample] = []
+            test: list[PrefixExample] = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    split = rec["split"]
+                    ex = PrefixExample([int(i) for i in rec["prefix"]], int(rec["label"]))
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+                if split == "train":
+                    train.append(ex)
+                elif split == "test":
+                    test.append(ex)
+                else:
+                    raise DataError(f"{path}: line {lineno}: unknown split {split!r}")
+                if any(i < 0 or i >= num_items for i in ex.prefix) or not 0 <= ex.label < num_items:
+                    raise DataError(f"{path}: line {lineno}: item index out of range [0, {num_items})")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
     vocab = load_vocab(vocab_path, num_items)
     return ProcessedDataset(train, test, vocab, header.get("provenance", {}))

@@ -250,6 +250,43 @@ class TestBadVocabulary:
         assert "Traceback" not in proc.stderr and "entries" in proc.stderr
 
 
+class TestNotUtf8:
+    """One byte that is not UTF-8 gives a one-line error naming the file, never a traceback."""
+
+    @staticmethod
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "casif.cli", *args], capture_output=True, text=True)
+
+    @staticmethod
+    def spoil(src, dst, old: bytes, new: bytes):
+        data = src.read_bytes()
+        assert old in data
+        dst.write_bytes(data.replace(old, new, 1))
+        return dst
+
+    def check(self, proc, code, path):
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and str(path) in proc.stderr and "UTF-8" in proc.stderr
+
+    def test_click_log(self, pipeline, tmp_path):
+        raw = self.spoil(pipeline["raw"], tmp_path / "raw.csv", b",item", b",\xffitem")
+        self.check(self.run("preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d")), 2, raw)
+
+    def test_dataset(self, pipeline, tmp_path):
+        shutil.copy(pipeline["data"] / "dataset.jsonl.vocab", tmp_path / "dataset.jsonl.vocab")
+        data = self.spoil(pipeline["data"] / "dataset.jsonl", tmp_path / "dataset.jsonl",
+                          b'"split": "test"', b'"split": "\xfftest"')
+        self.check(self.run("evaluate", "--dataset", str(data), "--baseline", "pop"), 2, data)
+
+    def test_config(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"min_item_support": 2, "delimiter": "\xff"}')
+        proc = self.run("--config", str(cfg), "preprocess", "--input", str(pipeline["raw"]),
+                        "--out-dir", str(tmp_path / "d"))
+        self.check(proc, 1, cfg)
+
+
 class TestDumpGraphs:
     def test_graphs_file_when_requested(self, pipeline, tmp_path):
         out_dir = tmp_path / "withgraphs"

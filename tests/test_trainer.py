@@ -288,3 +288,14 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, offset", [("embedding dimension", 6), ("gnn_steps", 14)])
+    def test_zero_header_field_is_a_data_error(self, tmp_path, field, offset):
+        # a header value HyperParams rejects is a defect of the file, not of the configuration
+        _, _, path = self.roundtrip(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = struct.pack("<I", 0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=field) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
