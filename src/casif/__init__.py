@@ -38,15 +38,12 @@ from .evaluation import (
 )
 from .graph import SessionGraph, build_session_graph
 from .model import (
-    BatchTrace,
     ForwardTrace,
     HyperParams,
     ModelParams,
     backward,
-    backward_batch,
     finite_difference_grad,
     forward,
-    forward_batch,
     init_params,
     loss,
     run_gradient_check,
@@ -71,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "BatchTrace",
     "Checkpoint",
     "ClickEvent",
     "ConfigError",
@@ -95,7 +91,6 @@ __all__ = [
     "VerificationError",
     "adam_step",
     "backward",
-    "backward_batch",
     "build_session_graph",
     "build_vocab_and_reindex",
     "effective_config",
@@ -103,7 +98,6 @@ __all__ = [
     "expand_prefixes",
     "finite_difference_grad",
     "forward",
-    "forward_batch",
     "generate_sessions",
     "hyper_params",
     "init_params",

@@ -29,6 +29,8 @@ def rank_topk(scores, k: int) -> np.ndarray:
         raise ConfigError(f"k must be in [1, {n}], got {k}")
     # every score at or above the k-th largest, in index order; a stable sort keeps ties there
     candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    if candidates.size < k:     # a NaN compares false: rank the whole catalog, NaNs last
+        candidates = np.arange(n)
     return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
@@ -114,8 +116,9 @@ def evaluate_model(params: ModelParams, hp: HyperParams, examples, ks=DEFAULT_KS
             raise ConfigError(f"cutoff k={k} out of range for {params.num_items} items")
     ranks = np.empty(len(examples), dtype=np.int64)
     for rows in sub_batches(examples, params.num_items, hp):
-        trace = forward_batch([examples[i] for i in rows], params, hp)
-        ranks[rows] = _label_ranks(trace.logits, trace.labels)
+        chunk = [examples[i] for i in rows]
+        logits = forward_batch(chunk, params, hp).logits     # the rest of the trace is freed here
+        ranks[rows] = _label_ranks(logits, np.array([ex.label for ex in chunk]))
     return _report_from_ranks(ranks, [len(ex.prefix) for ex in examples], ks)
 
 

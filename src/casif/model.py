@@ -629,14 +629,13 @@ def run_gradient_check(
     variants=VARIANTS,
     h: float = 1e-5,
     sabotage: bool = False,
-    batch_cases: int = 8,
 ) -> list[GradCheckCase]:
     """Compare backward against finite differences on small random instances.
 
     ``num_cases`` single examples cycle through every (variant, loss
     variant, 1 or 2 propagation steps) combination and prefix lengths
-    1..5, each with its own seed.  ``batch_cases`` more continue the cycle
-    on padded batches of 2 or 3 examples of mixed prefix lengths, checked
+    1..5, each with its own seed.  One more case per combination runs a
+    padded batch of 2 or 3 examples of mixed prefix lengths, checked
     against finite differences of the batch's summed loss.  Both sides are
     divided by the batch size first, so the error floor of
     ``relative_gradient_error`` is that of one example.  ``sabotage``
@@ -644,7 +643,7 @@ def run_gradient_check(
     """
     combos = [(v, lv, steps) for v in variants for lv in LOSS_VARIANTS for steps in (1, 2)]
     cases = []
-    for i in range(num_cases + batch_cases):
+    for i in range(num_cases + len(combos)):
         variant, loss_variant, steps = combos[i % len(combos)]
         hp = HyperParams(d=d, gnn_steps=steps, variant=variant, loss_variant=loss_variant)
         params = init_params(num_items, hp, seed=7000 + i)

@@ -209,6 +209,7 @@ def train(
                 trace = forward_batch([batch[i] for i in rows], params, hp)
                 loss_sum += float(trace.losses.sum())
                 backward_batch(trace, params, hp, grads)
+                del trace       # so that it is freed before the next sub-batch's forward pass
             scale = 1.0 / len(batch)
             for name, _ in params.tensors():
                 grads[name] *= scale

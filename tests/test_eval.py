@@ -49,6 +49,12 @@ class TestRanking:
         assert rank_topk(scores, 3).tolist() == [1, 2, 3]
         assert rank_topk(scores, 5).tolist() == [1, 2, 3, 5, 0]
 
+    def test_nan_scores_rank_last(self):
+        scores = np.array([0.5, np.nan, 2.0, np.nan, 0.5, 1.0])
+        order = np.lexsort((np.arange(6), -scores))
+        for k in range(1, 7):
+            assert rank_topk(scores, k).tolist() == order[:k].tolist()
+
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             rank_topk(np.zeros(4), 0)
