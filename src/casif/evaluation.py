@@ -38,7 +38,7 @@ def _label_ranks(scores, labels) -> np.ndarray:
     """1-based rank of each row's label in (B, N) scores, under the rank_topk ordering."""
     s = scores[np.arange(labels.shape[0]), labels][:, None]
     tied_before = (scores == s) & (np.arange(scores.shape[1]) < labels[:, None])
-    return 1 + np.count_nonzero(scores > s, axis=1) + np.count_nonzero(tied_before, axis=1)
+    return 1 + (scores > s).sum(axis=1) + tied_before.sum(axis=1)
 
 
 def label_rank(scores, label: int) -> int:

@@ -289,6 +289,8 @@ def _rivals(log_probs, labels):
     top = log_probs.argmax(axis=1)
     rows = np.flatnonzero((top != labels) & (log_probs[np.arange(labels.shape[0]), top] > -np.log(2.0)))
     items = top[rows]
+    if not rows.size:
+        return rows, items, np.empty(0)
     others = log_probs[rows]
     others[np.arange(rows.size), items] = -np.inf
     peak = others.max(axis=1, keepdims=True)
