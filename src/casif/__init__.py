@@ -8,6 +8,8 @@ checkpoints; `evaluation` reports Recall@k / MRR@k; `synth` generates toy
 click logs; `cli` ties it together as a command-line tool.
 """
 
+import ctypes
+
 from .config import DEFAULTS, effective_config, hyper_params, train_config
 from .corpus import (
     ClickEvent,
@@ -65,6 +67,33 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
+
+_M_TRIM_THRESHOLD = -1      # glibc <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed memory in the heap for the next sub-batch to reuse.
+
+    By default glibc gives each freed array above its mmap threshold, and
+    free space at the heap top, back to the kernel, so every sub-batch
+    page-faults its score rows and activations in again as fresh zeroed
+    pages.  Arrays up to 32 MiB (the 64-bit maximum) now come from the heap,
+    which is trimmed only past 256 MiB free; setting either value also turns
+    off glibc's dynamic threshold.  Process-wide.  Without ``mallopt`` (macOS,
+    Windows) nothing is done, and musl's returns 0.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_heap()
 
 __all__ = [
     "AdamState",

@@ -124,12 +124,8 @@ def evaluate_model(params: ModelParams, hp: HyperParams, examples, ks=DEFAULT_KS
 
 def popularity_scores(train_examples, num_items: int) -> np.ndarray:
     """Occurrence count of each item over training prefixes and labels."""
-    counts = np.zeros(num_items, dtype=np.float64)
-    for ex in train_examples:
-        for item in ex.prefix:
-            counts[item] += 1.0
-        counts[ex.label] += 1.0
-    return counts
+    items = [item for ex in train_examples for item in (*ex.prefix, ex.label)]
+    return np.bincount(np.array(items, dtype=np.int64), minlength=num_items).astype(np.float64)
 
 
 def pop_baseline(train_examples, test_examples, num_items: int, ks=DEFAULT_KS) -> MetricsReport:
@@ -138,7 +134,9 @@ def pop_baseline(train_examples, test_examples, num_items: int, ks=DEFAULT_KS) -
         raise DataError("popularity baseline needs training examples")
     if not test_examples:
         raise DataError("cannot evaluate on zero examples")
-    scores = popularity_scores(train_examples, num_items)
-    ranks = [label_rank(scores, ex.label) for ex in test_examples]
+    # one stable order over the catalog breaks ties to the smaller index, as rank_topk does
+    rank_of = np.empty(num_items, dtype=np.int64)
+    rank_of[np.argsort(-popularity_scores(train_examples, num_items), kind="stable")] = np.arange(1, num_items + 1)
+    ranks = rank_of[[ex.label for ex in test_examples]]
     lengths = [len(ex.prefix) for ex in test_examples]
     return _report_from_ranks(ranks, lengths, ks)

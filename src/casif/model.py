@@ -404,10 +404,10 @@ def loss(probs, label: int, variant: str = "eq13", log_probs=None) -> float:
 def forward_batch(examples, params: ModelParams, hp: HyperParams) -> BatchTrace:
     """Forward pass of a list of (prefix, label) examples as one padded batch, trace retained."""
     graphs = build_graph_batch([ex.prefix for ex in examples])
-    for ex in examples:
-        if min(ex.prefix) < 0 or max(ex.prefix) >= params.num_items or not 0 <= ex.label < params.num_items:
-            raise ValueError("example contains item indices outside the vocabulary")
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    # padded nodes hold item 0, which every catalog has
+    if min(graphs.nodes.min(), labels.min()) < 0 or max(graphs.nodes.max(), labels.max()) >= params.num_items:
+        raise ValueError("example contains item indices outside the vocabulary")
 
     h_nodes, caches = _ggnn(graphs.nodes, graphs.m_in, graphs.m_out, params, hp.gnn_steps)
     h_pos = graphs.pick @ h_nodes

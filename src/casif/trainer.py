@@ -199,11 +199,13 @@ def train(
         start_epoch = 0
 
     logs: list[EpochLog] = []
+    grads = zero_gradients(params)      # one buffer, zeroed per batch: a fresh one is a fresh mmap above 32 MiB
     for epoch in range(start_epoch, cfg.epochs):
         lr = lr_for_epoch(cfg, epoch)
         batch_losses = []
         for batch_index, batch in enumerate(make_batches(dataset.train, cfg.batch_size, cfg.seed, epoch)):
-            grads = zero_gradients(params)
+            for g in grads.values():
+                g.fill(0.0)
             loss_sum = 0.0
             for rows in sub_batches(batch, dataset.num_items, hp):
                 trace = forward_batch([batch[i] for i in rows], params, hp)
