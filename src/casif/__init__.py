@@ -94,62 +94,3 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
-
-__all__ = [
-    "AdamState",
-    "Checkpoint",
-    "ClickEvent",
-    "ConfigError",
-    "DEFAULTS",
-    "DataError",
-    "ForwardTrace",
-    "HyperParams",
-    "ItemVocabulary",
-    "LogFormat",
-    "MetricsReport",
-    "ModelParams",
-    "PrefixExample",
-    "ProcessedDataset",
-    "Session",
-    "SessionGraph",
-    "SplitMix64",
-    "SynthSpec",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingError",
-    "VerificationError",
-    "adam_step",
-    "backward",
-    "build_session_graph",
-    "build_vocab_and_reindex",
-    "effective_config",
-    "evaluate_model",
-    "expand_prefixes",
-    "finite_difference_grad",
-    "forward",
-    "generate_sessions",
-    "hyper_params",
-    "init_params",
-    "label_rank",
-    "load_checkpoint",
-    "load_dataset",
-    "load_vocab",
-    "loss",
-    "lr_for_epoch",
-    "make_batches",
-    "parse_click_log",
-    "parse_timestamp_ms",
-    "persist_dataset",
-    "pop_baseline",
-    "popularity_scores",
-    "rank_topk",
-    "run_gradient_check",
-    "save_checkpoint",
-    "sessionize_and_filter",
-    "substream_seed",
-    "take_recent_fraction",
-    "time_split",
-    "train",
-    "train_config",
-    "write_click_log",
-]

@@ -30,6 +30,7 @@ is the independent oracle it is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
@@ -83,10 +84,13 @@ class ModelParams:
     """All learnable tensors.
 
     The field order is the checkpoint layout and the init draw order.
-    Never reorder: serialized checkpoints depend on it.  ``emb`` doubles
-    as the input lookup table and the candidate vectors of the final
-    score (weight tying).  The ``att_simple_*`` tensors exist only for
-    the simplified variant.
+    Never reorder: serialized checkpoints depend on it.  Every field is a
+    view into one float64 vector ``flat``, which holds the tensors
+    row-major in declared order, byte for byte the checkpoint's tensor
+    section; the constructor copies its arguments into a fresh one.
+    ``emb`` doubles as the input lookup table and the candidate vectors of
+    the final score (weight tying).  The ``att_simple_*`` tensors exist
+    only for the simplified variant.
     """
 
     emb: np.ndarray = _tensor("items", "d")
@@ -114,6 +118,19 @@ class ModelParams:
     att_simple_w: np.ndarray | None = _tensor("d", "d", variant="casif_s")
     att_simple_b: np.ndarray | None = _tensor("d", variant="casif_s")
 
+    def __post_init__(self):
+        tensors = self.tensors()
+        self.flat = np.concatenate([np.ravel(arr) for _, arr in tensors], dtype=np.float64)
+        self.__dict__.update(_views(self.flat, {name: np.shape(arr) for name, arr in tensors}))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "ModelParams":
+        """Parameters whose fields are views of ``flat`` itself, which is not copied."""
+        params = cls.__new__(cls)   # the variant's absent tensors keep their class default, None
+        params.flat = flat
+        params.__dict__.update(_views(flat, shapes))
+        return params
+
     @property
     def num_items(self) -> int:
         return self.emb.shape[0]
@@ -129,12 +146,37 @@ class ModelParams:
         """(name, array) pairs in the fixed declared order."""
         return [(name, getattr(self, name)) for name in self.tensor_names()]
 
+    def shapes(self) -> dict:
+        """Shape of every tensor, in declared order."""
+        return {name: arr.shape for name, arr in self.tensors()}
+
     def copy(self) -> "ModelParams":
-        kwargs = {name: arr.copy() for name, arr in self.tensors()}
-        return ModelParams(**kwargs)
+        return ModelParams.from_flat(self.flat.copy(), self.shapes())
+
+    def __reduce__(self):   # pickle and copy.deepcopy rebuild the views over the copied vector
+        return ModelParams.from_flat, (self.flat, self.shapes())
 
 
-Gradients = dict  # tensor name -> array, shapes matching ModelParams
+def _views(flat: np.ndarray, shapes) -> dict:
+    """Consecutive views of ``flat``, one per (name, shape) in order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+class Gradients(dict):
+    """Tensor name -> array shaped like the ModelParams field: views, in declared
+    order, into one float64 vector ``flat``.  Adam's moments have this layout too."""
+
+    def __init__(self, flat: np.ndarray, shapes):
+        super().__init__(_views(flat, shapes))
+        self.flat = flat
+
+    def __reduce__(self):
+        return Gradients, (self.flat, {name: arr.shape for name, arr in self.items()})
 
 
 def _tensor_shapes(num_items: int, d: int, variant: str):
@@ -162,7 +204,7 @@ def init_params(num_items: int, hp: HyperParams, seed: int) -> ModelParams:
 
 
 def zero_gradients(params: ModelParams) -> Gradients:
-    return {name: np.zeros_like(arr) for name, arr in params.tensors()}
+    return Gradients(np.zeros_like(params.flat), params.shapes())
 
 
 # Memory budget of one sub-batch's forward and backward pass.  Measured, one example
@@ -584,19 +626,16 @@ def finite_difference_grad(examples, params: ModelParams, hp: HyperParams, h: fl
     the round-off of one example's loss, not of the larger sum.
     """
     batch = list(examples) if isinstance(examples, (list, tuple)) else [examples]
-    grads = {}
-    for name, arr in params.tensors():
-        g = np.zeros_like(arr)
-        flat, gflat = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = forward_batch(batch, params, hp).losses
-            flat[i] = orig - h
-            down = forward_batch(batch, params, hp).losses
-            flat[i] = orig
-            gflat[i] = float((up - down).sum()) / (2.0 * h)
-        grads[name] = g
+    grads = zero_gradients(params)
+    flat = params.flat      # every tensor, row-major in declared order
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = forward_batch(batch, params, hp).losses
+        flat[i] = orig - h
+        down = forward_batch(batch, params, hp).losses
+        flat[i] = orig
+        grads.flat[i] = float((up - down).sum()) / (2.0 * h)
     return grads
 
 
@@ -661,10 +700,11 @@ def run_gradient_check(
         scale = 1.0 / len(examples)
         analytic = backward_batch(forward_batch(examples, params, hp), params, hp)
         if sabotage:
-            analytic["emb"].flat[0] += 1e-2
+            analytic["emb"][0, 0] += 1e-2
         numeric = finite_difference_grad(examples, params, hp, h=h)
-        rel_error = relative_gradient_error({name: g * scale for name, g in analytic.items()},
-                                            {name: g * scale for name, g in numeric.items()})
+        analytic.flat *= scale
+        numeric.flat *= scale
+        rel_error = relative_gradient_error(analytic, numeric)
         cases.append(GradCheckCase(
             seed=7000 + i, variant=variant, loss_variant=loss_variant, gnn_steps=steps,
             prefix_len=max(len(ex.prefix) for ex in examples),

@@ -9,11 +9,15 @@ resuming from the checkpoint reproduces the uninterrupted run, because
 nothing carries hidden state across epochs except the parameters and the
 optimizer moments, both of which the checkpoint holds.
 
+Parameters, gradients and Adam moments are each one float64 vector
+``flat`` viewed by named tensors, so Adam and the gradient scaling are
+whole-vector operations, and the checkpoint's tensor section is ``params.flat``.
+
 Checkpoint layout (all little-endian):
 
     magic "CASF" | version u16 | d u32 | num_items u32 | gnn_steps u32
     variant u8 | loss u8 | current-interest u8 | flags u8 | epoch u32
-    tensors, float64 row-major, in ModelParams declared order
+    tensors: params.flat, float64, every tensor row-major in declared order
     [flags bit0] adam step counter u64, then (moment1, moment2) per tensor
     [flags bit1] rng seed u64
 """
@@ -34,6 +38,7 @@ from .model import (
     LOSS_VARIANTS,
     VARIANTS,
     HyperParams,
+    Gradients,
     ModelParams,
     _tensor_shapes,
     backward_batch,
@@ -81,8 +86,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    moment1: dict
-    moment2: dict
+    moment1: Gradients
+    moment2: Gradients
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -142,25 +147,34 @@ def lr_for_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
 
 
-def adam_step(params: ModelParams, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update, in place.  Aborts on non-finite gradients."""
-    for name, _ in params.tensors():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            where = tuple(int(i) for i in np.argwhere(~np.isfinite(g))[0])
-            raise TrainingError(f"non-finite gradient in {name} at coordinate {where}")
+def adam_step(params: ModelParams, grads: Gradients, state: AdamState, lr: float):
+    """One bias-corrected Adam update of ``params.flat``, in place.  Aborts on non-finite gradients.
+
+    Whole-vector operations with two temporaries, in the per-element order
+    of ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
+    """
+    g = grads.flat
+    with np.errstate(over="ignore"):
+        total = g.sum()
+    if not np.isfinite(total):      # a NaN or inf entry poisons the sum; so may finite ones that overflow
+        for name, arr in grads.items():
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                where = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise TrainingError(f"non-finite gradient in {name} at coordinate {where}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, theta in params.tensors():
-        g = grads[name]
-        m = state.moment1[name]
-        v = state.moment2[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.moment1.flat, state.moment2.flat
+    step, denom = np.multiply(1.0 - state.beta1, g), np.multiply(1.0 - state.beta2, g)
+    m *= state.beta1
+    m += step
+    v *= state.beta2
+    v += np.multiply(denom, g, out=denom)
+    np.multiply(np.divide(m, bc1, out=step), lr, out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += state.eps
+    params.flat -= np.divide(step, denom, out=step)
     return params, state
 
 
@@ -204,8 +218,7 @@ def train(
         lr = lr_for_epoch(cfg, epoch)
         batch_losses = []
         for batch_index, batch in enumerate(make_batches(dataset.train, cfg.batch_size, cfg.seed, epoch)):
-            for g in grads.values():
-                g.fill(0.0)
+            grads.flat.fill(0.0)
             loss_sum = 0.0
             for rows in sub_batches(batch, dataset.num_items, hp):
                 trace = forward_batch([batch[i] for i in rows], params, hp)
@@ -213,10 +226,9 @@ def train(
                 backward_batch(trace, params, hp, grads)
                 del trace       # so that it is freed before the next sub-batch's forward pass
             scale = 1.0 / len(batch)
-            for name, _ in params.tensors():
-                grads[name] *= scale
-                if cfg.l2_lambda:
-                    grads[name] += 2.0 * cfg.l2_lambda * getattr(params, name)
+            grads.flat *= scale
+            if cfg.l2_lambda:
+                grads.flat += 2.0 * cfg.l2_lambda * params.flat
             batch_loss = loss_sum * scale + cfg.l2_lambda * _l2_value(params)
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_index}")
@@ -239,7 +251,7 @@ def train(
 
 
 def _write_array(fh, arr: np.ndarray):
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -257,11 +269,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             CURRENT_INTEREST_INPUTS.index(hp.current_interest_input),
             flags, ckpt.epoch,
         ))
-        for _, arr in ckpt.params.tensors():
-            _write_array(fh, arr)
+        _write_array(fh, ckpt.params.flat)
         if ckpt.adam is not None:
             fh.write(struct.pack("<Q", ckpt.adam.t))
-            for name, _ in ckpt.params.tensors():
+            for name in ckpt.params.tensor_names():
                 _write_array(fh, ckpt.adam.moment1[name])
                 _write_array(fh, ckpt.adam.moment2[name])
         if ckpt.rng_seed is not None:
@@ -297,27 +308,30 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: unknown code in header") from exc
         except ConfigError as exc:
             raise DataError(f"{path}: bad header: {exc}") from exc
+        if num_items < 1:
+            raise DataError(f"{path}: bad header: num_items must be >= 1, got {num_items}")
 
         shapes = _tensor_shapes(num_items, d, hp.variant)
-        end = os.fstat(fh.fileno()).st_size
+        size = sum(math.prod(shape) for shape in shapes.values())
+        # size check first, so a corrupt header cannot allocate more than the file holds
+        if 8 * size * (3 if flags & _FLAG_ADAM else 1) > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise DataError(f"{path}: truncated checkpoint while reading tensors")
 
-        def read_tensor(name, what):
-            # size check first, so a corrupt header cannot allocate more than the file holds
-            shape = shapes[name]
-            arr = np.empty(shape, dtype="<f8") if 8 * math.prod(shape) <= end - fh.tell() else None
-            if arr is None or fh.readinto(arr) != arr.nbytes:
-                raise DataError(f"{path}: truncated checkpoint while reading {what} {name}")
+        def read_into(arr, what):
+            if fh.readinto(arr) != arr.nbytes:
+                raise DataError(f"{path}: truncated checkpoint while reading {what}")
             return arr
 
-        params = ModelParams(**{name: read_tensor(name, "tensor") for name in shapes})
+        params = ModelParams.from_flat(read_into(np.empty(size, dtype="<f8"), "tensors"), shapes)
 
         adam = None
         if flags & _FLAG_ADAM:
             (t,) = struct.unpack("<Q", _read_exact(fh, 8, path, "optimizer step counter"))
-            moment1, moment2 = {}, {}
-            for name in shapes:
-                moment1[name] = read_tensor(name, "optimizer moment1")
-                moment2[name] = read_tensor(name, "optimizer moment2")
+            moments = np.empty(2 * size, dtype="<f8")
+            moment1, moment2 = Gradients(moments[:size], shapes), Gradients(moments[size:], shapes)
+            for name in shapes:     # interleaved per tensor
+                read_into(moment1[name], f"optimizer moment1 {name}")
+                read_into(moment2[name], f"optimizer moment2 {name}")
             adam = AdamState(moment1=moment1, moment2=moment2, t=t)
 
         rng_seed = None

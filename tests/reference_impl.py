@@ -184,3 +184,23 @@ def ref_rank_metrics(score_rows, labels, k):
             rr_total += 1.0 / rank
     n = len(labels)
     return hits / n, rr_total / n
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def ref_adam_step(theta, grads, moment1, moment2, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam step number t (from 1), tensor by tensor and entry by entry.
+
+    All four arguments map tensor names to separate arrays, updated in place.
+    """
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, arr in theta.items():
+        x, g, m, v = (a.reshape(-1) for a in (arr, grads[name], moment1[name], moment2[name]))
+        for i in range(x.size):
+            gi = float(g[i])
+            m[i] = float(m[i]) * beta1 + (1.0 - beta1) * gi
+            v[i] = float(v[i]) * beta2 + (1.0 - beta2) * gi * gi
+            x[i] = float(x[i]) - lr * (float(m[i]) / bc1) / (math.sqrt(float(v[i]) / bc2) + eps)

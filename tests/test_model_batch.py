@@ -62,7 +62,8 @@ def test_backward_adds_into_the_given_gradients():
     params, hp = case("casif", "eq13", 1)
     examples = mixed_examples(seed=3)
     once = backward_batch(forward_batch(examples, params, hp), params, hp)
-    start = {name: g.copy() for name, g in once.items()}
+    start = zero_gradients(params)
+    start.flat[:] = once.flat
     twice = backward_batch(forward_batch(examples, params, hp), params, hp, start)
     assert twice is start
     for name, g in once.items():

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import struct
 
 import numpy as np
@@ -22,7 +24,8 @@ from casif import (
     train,
 )
 from casif.errors import ConfigError, DataError
-from casif.model import zero_gradients
+from casif.model import VARIANTS, zero_gradients
+from reference_impl import ref_adam_step
 
 
 def toy_dataset(num_items=10, n_sessions=8, seed=0):
@@ -88,7 +91,8 @@ class TestAdam:
         hp = HyperParams(d=4)
         params = init_params(5, hp, seed=0)
         before = params.copy()
-        grads = {name: np.ones_like(arr) for name, arr in params.tensors()}
+        grads = zero_gradients(params)
+        grads.flat[:] = 1.0
         adam_step(params, grads, AdamState.fresh(params), lr=0.01)
         # bias-corrected first step: theta -= lr * 1 / (1 + eps)
         expect = 0.01 / (1.0 + 1e-8)
@@ -119,9 +123,113 @@ class TestAdam:
         params = init_params(3, hp, seed=3)
         state = AdamState.fresh(params)
         for _ in range(400):
-            grads = {name: arr.copy() for name, arr in params.tensors()}
+            grads = zero_gradients(params)
+            grads.flat[:] = params.flat
             adam_step(params, grads, state, lr=0.05)
         assert max(np.abs(arr).max() for _, arr in params.tensors()) < 1e-2
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_per_tensor_reference_bit_for_bit(self, variant):
+        hp = HyperParams(d=4, variant=variant)
+        params = init_params(6, hp, seed=4)
+        state = AdamState.fresh(params)
+        ref = {name: arr.copy() for name, arr in params.tensors()}
+        ref_m1 = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        ref_m2 = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        rng = np.random.default_rng(5)
+        for t in range(1, 51):
+            grads = zero_gradients(params)
+            n = grads.flat.size
+            grads.flat[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 4, n)
+            ref_grads = {name: g.copy() for name, g in grads.items()}
+            adam_step(params, grads, state, lr=0.01)
+            ref_adam_step(ref, ref_grads, ref_m1, ref_m2, t, lr=0.01)
+        assert state.t == 50
+        for name, arr in params.tensors():
+            assert np.array_equal(arr, ref[name]), name
+            assert np.array_equal(state.moment1[name], ref_m1[name]), name
+            assert np.array_equal(state.moment2[name], ref_m2[name]), name
+
+    @pytest.mark.parametrize("variant, last", [("casif", "mlp_current_b"), ("casif_s", "att_simple_b")])
+    def test_non_finite_in_last_tensor_named_with_coordinate(self, variant, last):
+        hp = HyperParams(d=4, variant=variant)
+        params = init_params(5, hp, seed=2)
+        before = params.copy()
+        grads = zero_gradients(params)
+        assert params.tensor_names()[-1] == last
+        grads[last][3] = np.nan
+        state = AdamState.fresh(params)
+        with pytest.raises(TrainingError, match=rf"{last} at coordinate \(3,\)"):
+            adam_step(params, grads, state, lr=0.1)
+        assert state.t == 0 and np.array_equal(params.flat, before.flat)
+
+    def test_finite_gradient_whose_sum_overflows_still_steps(self):
+        hp = HyperParams(d=4)
+        params = init_params(5, hp, seed=6)
+        before = params.copy()
+        grads = zero_gradients(params)
+        grads["emb"][0, 0] = grads["w_in"][1, 1] = 1e308
+        grads["att_bias"][:] = 1.0
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(grads.flat.sum())
+        state = AdamState.fresh(params)
+        with np.errstate(over="ignore"):     # g * g overflows in the second moment
+            adam_step(params, grads, state, lr=0.1)
+        assert state.t == 1
+        assert state.moment1["emb"][0, 0] == (1.0 - state.beta1) * 1e308
+        assert np.all(params.att_bias != before.att_bias)
+        assert np.isfinite(params.flat).all()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestFlatLayout:
+    """Every tensor is a view into one vector, row-major in declared order."""
+
+    def assert_tiles(self, flat, tensors):
+        flat[:] = np.arange(flat.size)      # writes through to the views, in order
+        assert np.array_equal(np.concatenate([arr.reshape(-1) for _, arr in tensors]),
+                              np.arange(flat.size))
+        assert all(np.shares_memory(arr, flat) for _, arr in tensors)
+
+    def test_params_and_gradients_are_views_of_flat(self, variant):
+        params = init_params(5, HyperParams(d=3, variant=variant), seed=1)
+        assert params.flat.dtype == np.float64
+        self.assert_tiles(params.flat, params.tensors())
+        grads = zero_gradients(params)
+        assert list(grads) == list(params.tensor_names())
+        self.assert_tiles(grads.flat, list(grads.items()))
+
+    def test_copy_shares_no_memory(self, variant):
+        params = init_params(5, HyperParams(d=3, variant=variant), seed=1)
+        dup = params.copy()
+        assert np.array_equal(dup.flat, params.flat)
+        assert not np.shares_memory(dup.flat, params.flat)
+        self.assert_tiles(dup.flat, dup.tensors())
+
+    def test_deepcopy_and_pickle_keep_the_views(self, variant):
+        params = init_params(5, HyperParams(d=3, variant=variant), seed=1)
+        grads = zero_gradients(params)
+        for dup in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert not np.shares_memory(dup.flat, params.flat)
+            self.assert_tiles(dup.flat, dup.tensors())
+        for dup in (copy.deepcopy(grads), pickle.loads(pickle.dumps(grads))):
+            assert type(dup) is type(grads) and not np.shares_memory(dup.flat, grads.flat)
+            self.assert_tiles(dup.flat, list(dup.items()))
+
+    def test_checkpoint_tensor_section_is_flat(self, tmp_path, variant):
+        hp = HyperParams(d=3, variant=variant)
+        params = init_params(5, hp, seed=1)
+        adam = AdamState.fresh(params)
+        adam.moment1.flat[:] = 0.5
+        path = tmp_path / "flat.ckpt"
+        save_checkpoint(path, Checkpoint(hp=hp, num_items=5, params=params, adam=adam))
+        header = 26     # magic, version and the fixed header fields
+        assert path.read_bytes()[header:header + params.flat.nbytes] == params.flat.tobytes()
+        back = load_checkpoint(path)
+        assert np.array_equal(back.params.flat, params.flat)
+        self.assert_tiles(back.params.flat, back.params.tensors())
+        for moment in (back.adam.moment1, back.adam.moment2):
+            self.assert_tiles(moment.flat, list(moment.items()))
 
 
 class TestConfigValidation:
@@ -289,13 +397,15 @@ class TestCheckpointFormat:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field, offset", [("embedding dimension", 6), ("gnn_steps", 14)])
+    @pytest.mark.parametrize("field, offset",
+                             [("embedding dimension", 6), ("num_items", 10), ("gnn_steps", 14)])
     def test_zero_header_field_is_a_data_error(self, tmp_path, field, offset):
-        # a header value HyperParams rejects is a defect of the file, not of the configuration
+        # a header value HyperParams or init_params rejects is a defect of the file,
+        # not of the configuration
         _, _, path = self.roundtrip(tmp_path)
         data = bytearray(path.read_bytes())
         data[offset:offset + 4] = struct.pack("<I", 0)
         path.write_bytes(bytes(data))
-        with pytest.raises(DataError, match=field) as exc:
+        with pytest.raises(DataError, match=f"bad header: .*{field}") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
