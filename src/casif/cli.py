@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 from pathlib import Path
 
 from . import config as config_mod
@@ -39,11 +39,10 @@ def _provenance(command: str, cfg: dict, **extra) -> dict:
     return block
 
 
-def _log_format(cfg: dict) -> corpus.LogFormat:
-    return corpus.LogFormat(
-        delimiter=cfg["delimiter"], has_header=cfg["has_header"],
-        session_col=cfg["session_col"], time_col=cfg["time_col"], item_col=cfg["item_col"],
-    )
+def _config(args) -> dict:
+    """The effective config: every parsed flag whose dest is a config key overrides it."""
+    return config_mod.effective_config(
+        args.config, {k: v for k, v in vars(args).items() if k in config_mod.DEFAULTS})
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +50,7 @@ def _log_format(cfg: dict) -> corpus.LogFormat:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = config_mod.effective_config(args.config, {
-        "delimiter": args.delimiter, "has_header": args.has_header,
-        "session_col": args.session_col, "time_col": args.time_col, "item_col": args.item_col,
-        "min_item_support": args.min_item_support, "min_session_len": args.min_session_len,
-        "max_session_len": args.max_session_len, "test_window_ms": args.test_window_ms,
-        "split_ts": args.split_ts, "fraction": args.fraction, "strict_parse": args.strict or None,
-    })
+    cfg = _config(args)
     in_path = Path(args.input)
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
@@ -66,7 +59,7 @@ def cmd_preprocess(args) -> int:
 
     try:
         with open(in_path, "r", encoding="utf-8") as fh:
-            parsed = corpus.parse_click_log(fh, _log_format(cfg), strict=cfg["strict_parse"])
+            parsed = corpus.parse_click_log(fh, config_mod.log_format(cfg), strict=cfg["strict_parse"])
     except UnicodeDecodeError as exc:
         raise DataError(f"{in_path}: not UTF-8 text: {exc}") from exc
     sessions = corpus.sessionize_and_filter(
@@ -81,7 +74,7 @@ def cmd_preprocess(args) -> int:
     if split_ts is None:
         split_ts = max(s.start_time for s in sessions) - cfg["test_window_ms"] + 1
     train_sessions, test_sessions = corpus.time_split(sessions, split_ts)
-    train_sessions = corpus.take_recent_fraction(train_sessions, Fraction(str(cfg["fraction"])))
+    train_sessions = corpus.take_recent_fraction(train_sessions, cfg["fraction"])
 
     provenance = _provenance("preprocess", cfg, input=str(in_path), split_ts=split_ts)
     ds = corpus.build_vocab_and_reindex(train_sessions, test_sessions, provenance)
@@ -131,19 +124,15 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = config_mod.effective_config(args.config, {
-        "d": args.d, "gnn_steps": args.gnn_steps, "variant": args.variant,
-        "loss_variant": args.loss_variant, "current_interest_input": args.current_interest_input,
-        "batch_size": args.batch_size, "lr0": args.lr0,
-        "lr_decay_factor": args.lr_decay_factor, "lr_decay_every": args.lr_decay_every,
-        "l2_lambda": args.l2_lambda, "epochs": args.epochs, "seed": args.seed,
-    })
+    cfg = _config(args)
     tc = config_mod.train_config(cfg)
     ds = corpus.load_dataset(args.dataset)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
 
     result = trainer.train(ds, tc, resume=resume)
     trainer.save_checkpoint(args.checkpoint_out, result.checkpoint)
+    # a resumed run takes its model settings and seed from the checkpoint
+    cfg.update(asdict(result.checkpoint.hp), seed=result.checkpoint.rng_seed)
 
     log_path = args.log_out or f"{args.checkpoint_out}.log.jsonl"
     provenance = _provenance("train", cfg, dataset=str(args.dataset), resumed_from=args.resume)
@@ -175,7 +164,7 @@ def _parse_ks(text: str):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = config_mod.effective_config(args.config, {})
+    cfg = _config(args)
     ks = _parse_ks(args.ks)
     ds = corpus.load_dataset(args.dataset)
     examples = ds.train if args.split == "train" else ds.test
@@ -299,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-window-ms", type=int)
     p.add_argument("--split-ts", type=int)
     p.add_argument("--fraction", help="most-recent fraction of train sessions, e.g. 1/64")
-    p.add_argument("--strict", action="store_true", help="abort on the first malformed line")
+    p.add_argument("--strict", dest="strict_parse", action="store_const", const=True,
+                   help="abort on the first malformed line")
     p.add_argument("--dump-graphs", action="store_true", help="also write per-example session graphs")
     p.set_defaults(func=cmd_preprocess)
 

@@ -1,8 +1,12 @@
 """Config file handling: documented keys, strict validation, flag overrides.
 
-The config file is JSON with the keys below (all optional; defaults
-shown).  CLI flags override file values.  Unknown keys are rejected so a
-typo cannot silently fall back to a default.  Every command echoes the
+The config file is JSON with the keys below (all optional).  The fields
+of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``) and
+``LogFormat`` (raw log layout) declare their keys: a field's name is the
+key and its default the key's default.  Only the keys that configure
+functions, not a dataclass, are written out here.  CLI flags, whose
+``dest`` is the key, override file values.  Unknown keys are rejected so
+a typo cannot silently fall back to a default.  Every command echoes the
 effective configuration into its outputs' provenance blocks.
 """
 
@@ -10,34 +14,20 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import MISSING, fields
 
+from .corpus import LogFormat
 from .errors import ConfigError
 from .model import HyperParams
 from .trainer import TrainConfig
 
 ENV_CONFIG = "CASIF_CONFIG"
 
+_DECLARED = (HyperParams, TrainConfig, LogFormat)   # model, training, raw log layout
+
 DEFAULTS = {
-    # model
-    "d": 100,
-    "gnn_steps": 1,
-    "variant": "casif",
-    "loss_variant": "eq13",
-    "current_interest_input": "h_n",
-    # training
-    "batch_size": 128,
-    "lr0": 0.001,
-    "lr_decay_factor": 0.1,
-    "lr_decay_every": 3,
-    "l2_lambda": 1e-5,
-    "epochs": 10,
-    "seed": 0,
-    # raw log layout
-    "delimiter": ",",
-    "has_header": False,
-    "session_col": 0,
-    "time_col": 1,
-    "item_col": 2,
+    # TrainConfig.hp has a default factory, not a default, so it is no key
+    **{f.name: f.default for cls in _DECLARED for f in fields(cls) if f.default is not MISSING},
     "strict_parse": False,
     # preprocessing
     "min_item_support": 5,
@@ -89,31 +79,28 @@ def effective_config(config_path=None, overrides=None) -> dict:
         cfg[key] = value
     for key, expected in _TYPES.items():
         value = cfg[key]
-        if isinstance(value, bool) and expected is int:
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        if isinstance(value, bool) and expected is not bool:    # JSON true is no number
+            raise ConfigError(f"config key {key!r} must not be a boolean, got {value!r}")
         if not isinstance(value, expected):
             raise ConfigError(f"config key {key!r} has wrong type: {value!r}")
     return cfg
 
 
+def _from_config(cls, cfg: dict, **given):
+    """``cls`` with each field not ``given`` read from its key; a float field takes float(...) of an int."""
+    for f in fields(cls):
+        if f.name not in given:
+            given[f.name] = float(cfg[f.name]) if isinstance(f.default, float) else cfg[f.name]
+    return cls(**given)
+
+
 def hyper_params(cfg: dict) -> HyperParams:
-    return HyperParams(
-        d=cfg["d"],
-        gnn_steps=cfg["gnn_steps"],
-        variant=cfg["variant"],
-        loss_variant=cfg["loss_variant"],
-        current_interest_input=cfg["current_interest_input"],
-    )
+    return _from_config(HyperParams, cfg)
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg["batch_size"],
-        lr0=float(cfg["lr0"]),
-        lr_decay_factor=float(cfg["lr_decay_factor"]),
-        lr_decay_every=cfg["lr_decay_every"],
-        l2_lambda=float(cfg["l2_lambda"]),
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        hp=hyper_params(cfg),
-    )
+    return _from_config(TrainConfig, cfg, hp=hyper_params(cfg))
+
+
+def log_format(cfg: dict) -> LogFormat:
+    return _from_config(LogFormat, cfg)

@@ -216,7 +216,10 @@ def _as_fraction(fraction) -> Fraction:
     if isinstance(fraction, int):
         return Fraction(fraction)
     if isinstance(fraction, str):
-        return Fraction(fraction)
+        try:
+            return Fraction(fraction)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot interpret fraction {fraction!r}") from exc
     if isinstance(fraction, float):
         if not math.isfinite(fraction):
             raise ConfigError(f"fraction must be finite, got {fraction}")

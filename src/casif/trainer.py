@@ -55,6 +55,11 @@ CHECKPOINT_VERSION = 1
 _FLAG_ADAM = 1
 _FLAG_RNG = 2
 
+# Adam's moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingError(RuntimeError):
     """Training hit a non-finite value and aborted."""
@@ -89,9 +94,6 @@ class AdamState:
     moment1: Gradients
     moment2: Gradients
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "AdamState":
@@ -101,12 +103,14 @@ class AdamState:
 @dataclass
 class Checkpoint:
     hp: HyperParams
-    num_items: int
     params: ModelParams
     adam: AdamState | None = None
     epoch: int = 0
     rng_seed: int | None = None
-    version: int = CHECKPOINT_VERSION
+
+    @property
+    def num_items(self) -> int:
+        return self.params.num_items
 
 
 @dataclass
@@ -163,17 +167,17 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState, lr: float
                 where = tuple(int(i) for i in np.argwhere(bad)[0])
                 raise TrainingError(f"non-finite gradient in {name} at coordinate {where}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     m, v = state.moment1.flat, state.moment2.flat
-    step, denom = np.multiply(1.0 - state.beta1, g), np.multiply(1.0 - state.beta2, g)
-    m *= state.beta1
+    step, denom = np.multiply(1.0 - ADAM_BETA1, g), np.multiply(1.0 - ADAM_BETA2, g)
+    m *= ADAM_BETA1
     m += step
-    v *= state.beta2
+    v *= ADAM_BETA2
     v += np.multiply(denom, g, out=denom)
     np.multiply(np.divide(m, bc1, out=step), lr, out=step)
     np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     params.flat -= np.divide(step, denom, out=step)
     return params, state
 
@@ -193,22 +197,28 @@ def train(
 
     Per batch: mean example loss plus l2_lambda * sum of squared parameter
     entries, gradients to match, one Adam step at the epoch's learning
-    rate.  Pass a checkpoint to continue from its epoch; the result is
-    bit-identical to a run that never stopped.
+    rate.  Pass a checkpoint to continue from its epoch, with its model
+    settings and, when it holds one, its seed in place of ``cfg``'s; the
+    result is bit-identical to a run that never stopped.
     """
     if not dataset.train:
         raise DataError("dataset has no training examples")
-    hp = cfg.hp
+    hp, seed = cfg.hp, cfg.seed
     if resume is not None:
         if resume.num_items != dataset.num_items:
             raise DataError(
                 f"checkpoint was trained with {resume.num_items} items, dataset has {dataset.num_items}")
+        if resume.epoch > cfg.epochs:
+            raise ConfigError(
+                f"checkpoint has trained {resume.epoch} epochs, more than the {cfg.epochs} asked for")
         params = resume.params
         adam = resume.adam if resume.adam is not None else AdamState.fresh(params)
         hp = resume.hp
+        if resume.rng_seed is not None:
+            seed = resume.rng_seed
         start_epoch = resume.epoch
     else:
-        params = init_params(dataset.num_items, hp, cfg.seed)
+        params = init_params(dataset.num_items, hp, seed)
         adam = AdamState.fresh(params)
         start_epoch = 0
 
@@ -217,7 +227,7 @@ def train(
     for epoch in range(start_epoch, cfg.epochs):
         lr = lr_for_epoch(cfg, epoch)
         batch_losses = []
-        for batch_index, batch in enumerate(make_batches(dataset.train, cfg.batch_size, cfg.seed, epoch)):
+        for batch_index, batch in enumerate(make_batches(dataset.train, cfg.batch_size, seed, epoch)):
             grads.flat.fill(0.0)
             loss_sum = 0.0
             for rows in sub_batches(batch, dataset.num_items, hp):
@@ -241,8 +251,7 @@ def train(
             metrics = {f"recall@{eval_k}": report.recall(eval_k), f"mrr@{eval_k}": report.mrr(eval_k)}
         logs.append(EpochLog(epoch=epoch, lr=lr, mean_loss=float(np.mean(batch_losses)), metrics=metrics))
 
-    ckpt = Checkpoint(hp=hp, num_items=dataset.num_items, params=params,
-                      adam=adam, epoch=cfg.epochs, rng_seed=cfg.seed)
+    ckpt = Checkpoint(hp=hp, params=params, adam=adam, epoch=cfg.epochs, rng_seed=seed)
     return TrainResult(params=params, adam=adam, epoch_logs=logs, checkpoint=ckpt)
 
 
@@ -260,7 +269,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     hp = ckpt.hp
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", ckpt.version))
+        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         fh.write(struct.pack(
             "<IIIBBBBI",
             hp.d, ckpt.num_items, hp.gnn_steps,
@@ -342,5 +351,4 @@ def load_checkpoint(path) -> Checkpoint:
         if trailing:
             raise DataError(f"{path}: trailing bytes after checkpoint payload")
 
-    return Checkpoint(hp=hp, num_items=num_items, params=params,
-                      adam=adam, epoch=epoch, rng_seed=rng_seed, version=version)
+    return Checkpoint(hp=hp, params=params, adam=adam, epoch=epoch, rng_seed=rng_seed)

@@ -190,6 +190,39 @@ class TestExitCodes:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction", ["abc", "1/0"])
+    def test_bad_fraction_is_config_error(self, pipeline, tmp_path, capsys, fraction):
+        rc = main(["preprocess", "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d"),
+                   "--fraction", fraction])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(fraction) in err and "Traceback" not in err
+
+    def test_resume_reports_checkpoint_settings(self, pipeline, tmp_path, capsys):
+        # the fixture's checkpoint was trained with d=8 and seed 0 for 2 epochs
+        dataset = str(pipeline["data"] / "dataset.jsonl")
+        whole, resumed = tmp_path / "whole.ckpt", tmp_path / "resumed.ckpt"
+        assert main(["train", "--dataset", dataset, "--checkpoint-out", str(whole),
+                     "--d", "8", "--epochs", "3"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--dataset", dataset, "--checkpoint-out", str(resumed),
+                     "--resume", str(pipeline["ckpt"]), "--epochs", "3", "--seed", "7"]) == 0
+        assert resumed.read_bytes() == whole.read_bytes()
+        assert capsys.readouterr().out.startswith("config: d=8 batch=128 lr0=0.001 variant=casif "
+                                                  "loss=eq13 epochs=3 seed=0\n")
+        with open(f"{resumed}.log.jsonl") as fh:
+            config = json.loads(fh.readline())["provenance"]["config"]
+        assert (config["d"], config["seed"], config["epochs"]) == (8, 0, 3)
+
+    def test_resume_past_epochs_is_config_error(self, pipeline, tmp_path, capsys):
+        rc = main(["train", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                   "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                   "--resume", str(pipeline["ckpt"]), "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trained 2 epochs" in err and "the 1 asked for" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 def corrupt_vocab(lines, how):
     """Vocabulary file lines, as bytes, with the one defect `how` names (see VOCAB_DEFECTS)."""

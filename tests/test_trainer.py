@@ -25,6 +25,7 @@ from casif import (
 )
 from casif.errors import ConfigError, DataError
 from casif.model import VARIANTS, zero_gradients
+from casif.trainer import ADAM_BETA1
 from reference_impl import ref_adam_step
 
 
@@ -176,7 +177,7 @@ class TestAdam:
         with np.errstate(over="ignore"):     # g * g overflows in the second moment
             adam_step(params, grads, state, lr=0.1)
         assert state.t == 1
-        assert state.moment1["emb"][0, 0] == (1.0 - state.beta1) * 1e308
+        assert state.moment1["emb"][0, 0] == (1.0 - ADAM_BETA1) * 1e308
         assert np.all(params.att_bias != before.att_bias)
         assert np.isfinite(params.flat).all()
 
@@ -222,7 +223,7 @@ class TestFlatLayout:
         adam = AdamState.fresh(params)
         adam.moment1.flat[:] = 0.5
         path = tmp_path / "flat.ckpt"
-        save_checkpoint(path, Checkpoint(hp=hp, num_items=5, params=params, adam=adam))
+        save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=adam))
         header = 26     # magic, version and the fixed header fields
         assert path.read_bytes()[header:header + params.flat.nbytes] == params.flat.tobytes()
         back = load_checkpoint(path)
@@ -303,6 +304,25 @@ class TestTrainingLoop:
         with pytest.raises(DataError, match="items"):
             train(ds, small_cfg(epochs=2), resume=ckpt)
 
+    def test_resume_takes_model_settings_and_seed_from_checkpoint(self, tmp_path):
+        ds = toy_dataset(seed=8)
+        whole = train(ds, small_cfg(epochs=4, seed=5))
+        first = train(ds, small_cfg(epochs=2, seed=5))
+        p_half = tmp_path / "half.ckpt"
+        save_checkpoint(p_half, first.checkpoint)
+        resumed = train(ds, small_cfg(epochs=4, hp=HyperParams(d=9)), resume=load_checkpoint(p_half))
+        assert resumed.checkpoint.rng_seed == 5 and resumed.checkpoint.hp == HyperParams(d=6)
+        for path, result in ((tmp_path / "whole.ckpt", whole), (tmp_path / "resumed.ckpt", resumed)):
+            save_checkpoint(path, result.checkpoint)
+        assert (tmp_path / "whole.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
+
+    def test_resume_past_requested_epochs_rejected(self):
+        ds = toy_dataset(seed=8)
+        ckpt = train(ds, small_cfg(epochs=4)).checkpoint
+        with pytest.raises(ConfigError, match=r"4 epochs.* 2 asked"):
+            train(ds, small_cfg(epochs=2), resume=ckpt)
+        assert train(ds, small_cfg(epochs=4), resume=ckpt).epoch_logs == []
+
 
 class TestCheckpointFormat:
     def roundtrip(self, tmp_path, **hp_kw):
@@ -313,7 +333,7 @@ class TestCheckpointFormat:
         for name in adam.moment1:
             adam.moment1[name] += 0.25
             adam.moment2[name] += 0.5
-        ckpt = Checkpoint(hp=hp, num_items=7, params=params, adam=adam, epoch=9, rng_seed=123)
+        ckpt = Checkpoint(hp=hp, params=params, adam=adam, epoch=9, rng_seed=123)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
         return ckpt, load_checkpoint(path), path
@@ -335,7 +355,7 @@ class TestCheckpointFormat:
 
     def test_optional_sections_can_be_absent(self, tmp_path):
         hp = HyperParams(d=4)
-        ckpt = Checkpoint(hp=hp, num_items=3, params=init_params(3, hp, seed=1))
+        ckpt = Checkpoint(hp=hp, params=init_params(3, hp, seed=1))
         path = tmp_path / "bare.ckpt"
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
@@ -356,8 +376,7 @@ class TestCheckpointFormat:
         adam = AdamState(moment1=dict(moment1.tensors()),
                          moment2={name: arr * arr for name, arr in moment2.tensors()}, t=7)
         path = tmp_path / "pinned.ckpt"
-        save_checkpoint(path, Checkpoint(hp=hp, num_items=5, params=params, adam=adam,
-                                         epoch=2, rng_seed=19))
+        save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=adam, epoch=2, rng_seed=19))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.LAYOUT_SHA256[variant]
 
     def test_magic_checked(self, tmp_path):
