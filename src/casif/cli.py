@@ -51,15 +51,14 @@ def _config(args) -> dict:
 
 def cmd_preprocess(args) -> int:
     cfg = _config(args)
+    fmt = config_mod.log_format(cfg)
     in_path = Path(args.input)
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         with open(in_path, "r", encoding="utf-8") as fh:
-            parsed = corpus.parse_click_log(fh, config_mod.log_format(cfg), strict=cfg["strict_parse"])
+            parsed = corpus.parse_click_log(fh, fmt, strict=cfg["strict_parse"])
     except UnicodeDecodeError as exc:
         raise DataError(f"{in_path}: not UTF-8 text: {exc}") from exc
     sessions = corpus.sessionize_and_filter(
@@ -78,6 +77,8 @@ def cmd_preprocess(args) -> int:
 
     provenance = _provenance("preprocess", cfg, input=str(in_path), split_ts=split_ts)
     ds = corpus.build_vocab_and_reindex(train_sessions, test_sessions, provenance)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.jsonl"
     corpus.persist_dataset(ds, dataset_path)
 
@@ -231,7 +232,7 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     variants = ("casif", "casif_s") if args.variant == "both" else (args.variant,)
-    cases = run_gradient_check(num_cases=args.cases, variants=variants, sabotage=args.sabotage)
+    cases = run_gradient_check(num_cases=args.cases, variants=variants)
     worst = max(case.rel_error for case in cases)
     for case in cases:
         print(f"seed {case.seed}  {case.variant:<8} {case.loss_variant:<11} "
@@ -333,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=24)
     p.add_argument("--variant", choices=["both", "casif", "casif_s"], default="both")
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic raw click log")

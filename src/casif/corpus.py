@@ -89,6 +89,13 @@ class LogFormat:
     time_col: int = 1
     item_col: int = 2
 
+    def __post_init__(self):
+        if not self.delimiter:
+            raise ConfigError("delimiter must not be empty")
+        for key in ("session_col", "time_col", "item_col"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+
 
 @dataclass
 class ParsedLog:
@@ -166,8 +173,10 @@ def sessionize_and_filter(
     below min_item_support are removed from every session; sessions then
     shorter than min_session_len are dropped, and survivors are truncated
     to their most recent max_session_len clicks.  Output is ordered by
-    session start time.
+    session start time.  A max_session_len of 0 keeps every click.
     """
+    if max_session_len < 0:
+        raise ConfigError(f"max_session_len must be >= 0 (0: no cap), got {max_session_len}")
     by_session: dict[str, list[ClickEvent]] = {}
     for ev in events:
         by_session.setdefault(ev.session_id, []).append(ev)
@@ -261,14 +270,12 @@ def reindexed_sessions(train_sessions, test_sessions, vocab: ItemVocabulary):
     return train, test
 
 
-def persist_dataset(ds: ProcessedDataset, path, vocab_path=None) -> None:
+def persist_dataset(ds: ProcessedDataset, path) -> None:
     """Write a dataset as JSON lines, plus its vocabulary beside it.
 
     Line 1 is a header record; every following line is one example.  The
-    vocabulary goes to vocab_path (default: path + '.vocab'), one
-    {"raw", "index"} record per line.
+    vocabulary goes to path + '.vocab', one {"raw", "index"} record per line.
     """
-    vocab_path = vocab_path or f"{path}.vocab"
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "format": DATASET_FORMAT,
@@ -281,14 +288,13 @@ def persist_dataset(ds: ProcessedDataset, path, vocab_path=None) -> None:
             for ex in examples:
                 rec = {"split": split, "prefix": [int(i) for i in ex.prefix], "label": int(ex.label)}
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(vocab_path, "w", encoding="utf-8") as fh:
+    with open(f"{path}.vocab", "w", encoding="utf-8") as fh:
         for index, raw in enumerate(ds.vocab.index_to_raw):
             fh.write(json.dumps({"raw": raw, "index": index}, sort_keys=True) + "\n")
 
 
-def load_dataset(path, vocab_path=None) -> ProcessedDataset:
+def load_dataset(path) -> ProcessedDataset:
     """Inverse of persist_dataset; validates the header and every record."""
-    vocab_path = vocab_path or f"{path}.vocab"
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header_line = fh.readline()
@@ -325,7 +331,7 @@ def load_dataset(path, vocab_path=None) -> ProcessedDataset:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
-    vocab = load_vocab(vocab_path, num_items)
+    vocab = load_vocab(f"{path}.vocab", num_items)
     return ProcessedDataset(train, test, vocab, header.get("provenance", {}))
 
 

@@ -269,9 +269,18 @@ class BatchTrace:
     current_state: np.ndarray | None = None   # tanh output, current interest
 
     @cached_property
+    def _loss_pass(self):
+        return _loss_and_grad(self.probs, self.log_probs, self.labels, self.loss_variant)
+
+    @property
     def losses(self) -> np.ndarray:
-        """Each example's loss (B,), computed when first read."""
-        return _losses(self.probs, self.log_probs, self.labels, self.loss_variant)
+        """Each example's loss (B,); it and ``d_logits`` are computed together, when first read."""
+        return self._loss_pass[0]
+
+    @property
+    def d_logits(self) -> np.ndarray:
+        """Gradient of each example's loss with respect to its logits (B, num_items)."""
+        return self._loss_pass[1]
 
 
 _ROW_FIELDS = frozenset(f.name for f in fields(BatchTrace)) - {"graphs", "labels", "loss_variant", "steps"}
@@ -322,21 +331,6 @@ def _softmax_with_log(logits):
     probs /= total
     shifted -= np.log(total)        # in place: the log-probabilities
     return probs, shifted
-
-
-def _rivals(log_probs, labels):
-    """(rows, items, log(1 - p)) for the rows of (B, N) log-probs in which a non-label item
-    holds p > 1/2 (at most one per row can).  That 1 - p is the other items' mass: their
-    logsumexp is exact where p rounds to 1."""
-    top = log_probs.argmax(axis=1)
-    rows = np.flatnonzero((top != labels) & (log_probs[np.arange(labels.shape[0]), top] > -np.log(2.0)))
-    items = top[rows]
-    if not rows.size:
-        return rows, items, np.empty(0)
-    others = log_probs[rows]
-    others[np.arange(rows.size), items] = -np.inf
-    peak = others.max(axis=1, keepdims=True)
-    return rows, items, peak[:, 0] + np.log(np.exp(others - peak).sum(axis=1))
 
 
 def _ggnn(nodes, m_in, m_out, params: ModelParams, steps: int):
@@ -414,33 +408,62 @@ def score_and_predict(general_state, current_state, emb):
     return logits, probs
 
 
-def _losses(probs, log_probs, labels, variant: str) -> np.ndarray:
-    """Each row's loss, from (B, N) probabilities and (B,) labels; see ``loss``."""
+def _loss_and_grad(probs, log_probs, labels, variant: str):
+    """Each row's loss (B,) and its gradient with respect to the row's logits (B, N), from
+    (B, N) probabilities and log-probabilities and (B,) labels; see ``loss``."""
     rows = np.arange(labels.shape[0])
     label_term = log_probs[rows, labels]
     if variant == "softmax_ce":
-        return -label_term
+        d_logits = probs.copy()
+        d_logits[rows, labels] -= 1.0
+        return -label_term, d_logits
     if variant != "eq13":
         raise ConfigError(f"unknown loss variant {variant!r}")
+    # a rival is a non-label item holding p > 1/2, at most one per row.  Its 1 - p is the
+    # other items' mass: their logsumexp, log_rest, is exact where p rounds to 1.
+    top = log_probs.argmax(axis=1)
+    rival_rows = np.flatnonzero((top != labels) & (log_probs[rows, top] > -np.log(2.0)))
+    rivals = top[rival_rows]
+    log_rest = np.empty(0)
+    if rival_rows.size:
+        others = log_probs[rival_rows]
+        others[np.arange(rival_rows.size), rivals] = -np.inf
+        peak = others.max(axis=1, keepdims=True)
+        log_rest = peak[:, 0] + np.log(np.exp(others - peak).sum(axis=1))
+
     with np.errstate(divide="ignore"):
         rest = np.log1p(-probs)    # log(1 - p), accurate for p <= 1/2
     rest[rows, labels] = 0.0
-    rival_rows, rivals, log_rest = _rivals(log_probs, labels)
     rest[rival_rows, rivals] = log_rest
-    return -(label_term + rest.sum(axis=1))
+    losses = -(label_term + rest.sum(axis=1))
+
+    # the extra -log(1 - p_i) terms add g_i = p_i / (1 - p_i) pressure on
+    # every non-label probability; route through the softmax Jacobian in
+    # one pass: d_logits = g - p * sum(g), with g_label = -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.divide(probs, 1.0 - probs, out=rest)     # rest is summed: reuse its buffer
+    g[rows, labels] = -1.0
+    g[rival_rows, rivals] = 0.0     # a rival's g may overflow: out of the sum, handled below
+    total = g.sum(axis=1, keepdims=True)
+    g -= probs * total
+    # a rival's products in log space: g_r * (1 - p_r) = p_r, and
+    # p_k * g_r = exp(log p_k + log p_r - log(1 - p_r)) <= 1
+    log_pg = log_probs[rival_rows] + (log_probs[rival_rows, rivals] - log_rest)[:, None]
+    log_pg[np.arange(rival_rows.size), rivals] = -np.inf
+    g[rival_rows] -= np.exp(log_pg)
+    g[rival_rows, rivals] = probs[rival_rows, rivals] * (1.0 - total[rival_rows, 0])
+    return losses, g
 
 
-def loss(probs, label: int, variant: str = "eq13", log_probs=None) -> float:
-    """Scalar loss of one prediction.
+def loss(probs, label: int, variant: str = "eq13", *, log_probs) -> float:
+    """Scalar loss of one prediction, from its probabilities and log-probabilities.
 
     "eq13" charges -log p(label) plus -log(1 - p) for every other item;
     "softmax_ce" is plain cross entropy.  Both are evaluated in log space.
     """
-    probs = np.asarray(probs)
-    if log_probs is None:
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-    return float(_losses(probs[None], np.asarray(log_probs)[None], np.array([label]), variant)[0])
+    losses, _ = _loss_and_grad(np.asarray(probs)[None], np.asarray(log_probs)[None],
+                               np.array([label]), variant)
+    return float(losses[0])
 
 
 def forward_batch(examples, params: ModelParams, hp: HyperParams) -> BatchTrace:
@@ -486,32 +509,6 @@ def forward(example, params: ModelParams, hp: HyperParams) -> ForwardTrace:
 # backward
 
 
-def _loss_grad_wrt_logits(probs, log_probs, labels, variant: str):
-    """Gradient of each row's loss with respect to its logits, (B, N)."""
-    rows = np.arange(labels.shape[0])
-    if variant == "softmax_ce":
-        d_logits = probs.copy()
-        d_logits[rows, labels] -= 1.0
-        return d_logits
-    # the extra -log(1 - p_i) terms add g_i = p_i / (1 - p_i) pressure on
-    # every non-label probability; route through the softmax Jacobian in
-    # one pass: d_logits = g - p * sum(g), with g_label = -1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = probs / (1.0 - probs)
-    g[rows, labels] = -1.0
-    rival_rows, rivals, log_rest = _rivals(log_probs, labels)
-    g[rival_rows, rivals] = 0.0     # a rival's g may overflow: out of the sum, handled below
-    total = g.sum(axis=1, keepdims=True)
-    g -= probs * total
-    # a rival's products in log space: g_r * (1 - p_r) = p_r, and
-    # p_k * g_r = exp(log p_k + log p_r - log(1 - p_r)) <= 1
-    log_pg = log_probs[rival_rows] + (log_probs[rival_rows, rivals] - log_rest)[:, None]
-    log_pg[np.arange(rival_rows.size), rivals] = -np.inf
-    g[rival_rows] -= np.exp(log_pg)
-    g[rival_rows, rivals] = probs[rival_rows, rivals] * (1.0 - total[rival_rows, 0])
-    return g
-
-
 def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grads=None) -> Gradients:
     """Exact gradient of the batch's summed loss, added into ``grads`` (fresh zeros if None).
 
@@ -525,7 +522,7 @@ def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grad
     batch, q, d = trace.h_nodes.shape
     rows, last = np.arange(batch), graphs.lengths - 1
 
-    d_logits = _loss_grad_wrt_logits(trace.probs, trace.log_probs, trace.labels, hp.loss_variant)
+    d_logits = trace.d_logits
     grads["emb"] += d_logits.T @ trace.blend           # candidate side of the score
     d_blend = d_logits @ params.emb
 
@@ -669,7 +666,6 @@ def run_gradient_check(
     num_items: int = 20,
     variants=VARIANTS,
     h: float = 1e-5,
-    sabotage: bool = False,
 ) -> list[GradCheckCase]:
     """Compare backward against finite differences on small random instances.
 
@@ -679,8 +675,7 @@ def run_gradient_check(
     padded batch of 2 or 3 examples of mixed prefix lengths, checked
     against finite differences of the batch's summed loss.  Both sides are
     divided by the batch size first, so the error floor of
-    ``relative_gradient_error`` is that of one example.  ``sabotage``
-    corrupts one analytic entry, for exercising the failure path of callers.
+    ``relative_gradient_error`` is that of one example.
     """
     combos = [(v, lv, steps) for v in variants for lv in LOSS_VARIANTS for steps in (1, 2)]
     cases = []
@@ -699,8 +694,6 @@ def run_gradient_check(
 
         scale = 1.0 / len(examples)
         analytic = backward_batch(forward_batch(examples, params, hp), params, hp)
-        if sabotage:
-            analytic["emb"][0, 0] += 1e-2
         numeric = finite_difference_grad(examples, params, hp, h=h)
         analytic.flat *= scale
         numeric.flat *= scale

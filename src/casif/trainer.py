@@ -118,13 +118,9 @@ class EpochLog:
     epoch: int
     lr: float
     mean_loss: float
-    metrics: dict | None = None
 
     def record(self) -> dict:
-        rec = {"epoch": self.epoch, "lr": self.lr, "mean_loss": self.mean_loss}
-        if self.metrics is not None:
-            rec["metrics"] = self.metrics
-        return rec
+        return {"epoch": self.epoch, "lr": self.lr, "mean_loss": self.mean_loss}
 
 
 @dataclass
@@ -182,16 +178,10 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState, lr: float
     return params, state
 
 
-def _l2_value(params: ModelParams) -> float:
-    return float(sum(float((arr * arr).sum()) for _, arr in params.tensors()))
-
-
 def train(
     dataset: ProcessedDataset,
     cfg: TrainConfig,
     resume: Checkpoint | None = None,
-    eval_examples=None,
-    eval_k: int = 20,
 ) -> TrainResult:
     """Run the training loop over the dataset's train split.
 
@@ -239,17 +229,12 @@ def train(
             grads.flat *= scale
             if cfg.l2_lambda:
                 grads.flat += 2.0 * cfg.l2_lambda * params.flat
-            batch_loss = loss_sum * scale + cfg.l2_lambda * _l2_value(params)
+            batch_loss = loss_sum * scale + cfg.l2_lambda * float(params.flat @ params.flat)
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_index}")
             adam_step(params, grads, adam, lr)
             batch_losses.append(batch_loss)
-        metrics = None
-        if eval_examples:
-            from .evaluation import evaluate_model
-            report = evaluate_model(params, hp, eval_examples, ks=(eval_k,))
-            metrics = {f"recall@{eval_k}": report.recall(eval_k), f"mrr@{eval_k}": report.mrr(eval_k)}
-        logs.append(EpochLog(epoch=epoch, lr=lr, mean_loss=float(np.mean(batch_losses)), metrics=metrics))
+        logs.append(EpochLog(epoch=epoch, lr=lr, mean_loss=float(np.mean(batch_losses))))
 
     ckpt = Checkpoint(hp=hp, params=params, adam=adam, epoch=cfg.epochs, rng_seed=seed)
     return TrainResult(params=params, adam=adam, epoch_logs=logs, checkpoint=ckpt)

@@ -178,9 +178,10 @@ class TestExitCodes:
         assert rc == 0
         assert "worst relative error" in capsys.readouterr().out
 
-    def test_gradcheck_sabotage_fails_with_exit_3(self, capsys):
-        rc = main(["gradcheck", "--cases", "2", "--sabotage"])
+    def test_gradcheck_failure_exits_3(self, capsys):
+        rc = main(["gradcheck", "--cases", "2", "--tolerance", "0"])
         assert rc == 3
+        assert "gradcheck FAILED" in capsys.readouterr().err
 
     def test_strict_preprocess_aborts_on_bad_line(self, pipeline, tmp_path, capsys):
         raw = tmp_path / "bad.csv"
@@ -197,6 +198,19 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and repr(fraction) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--delimiter", ""), ("--session-col", "-1"),
+                                             ("--time-col", "-2"), ("--item-col", "-1"),
+                                             ("--max-session-len", "-3")])
+    def test_bad_log_and_length_settings_are_config_errors(self, pipeline, tmp_path, capsys,
+                                                           flag, value):
+        rc = main(["preprocess", "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d"),
+                   "--min-item-support", "2", flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        assert err.count("\n") == 1 and err.startswith(f"error: {key} ") and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
 
     def test_resume_reports_checkpoint_settings(self, pipeline, tmp_path, capsys):
         # the fixture's checkpoint was trained with d=8 and seed 0 for 2 epochs

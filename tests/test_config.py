@@ -56,7 +56,7 @@ OPTION_STRINGS = {
     "evaluate": ["-h", "--help", "--dataset", "--checkpoint", "--baseline", "--ks", "--split",
                  "--split-length", "--out"],
     "predict": ["-h", "--help", "--checkpoint", "--vocab", "--items", "--k"],
-    "gradcheck": ["-h", "--help", "--cases", "--variant", "--tolerance", "--sabotage"],
+    "gradcheck": ["-h", "--help", "--cases", "--variant", "--tolerance"],
     "synth": ["-h", "--help", "--out", "--mode", "--num-items", "--num-sessions", "--min-len",
               "--max-len", "--branching", "--seed"],
 }

@@ -182,6 +182,15 @@ class TestHarness:
         assert len(combos) == 8   # 2 variants x 2 losses x 2 step counts
         assert all(c.rel_error < 1e-4 for c in cases)
 
-    def test_sabotage_trips_the_check(self):
-        cases = run_gradient_check(num_cases=2, d=4, num_items=8, sabotage=True)
+    def test_sabotage_trips_the_check(self, monkeypatch):
+        import casif.model
+        honest = casif.model.backward_batch
+
+        def corrupted(*args, **kwargs):
+            grads = honest(*args, **kwargs)
+            grads["emb"][0, 0] += 1e-2
+            return grads
+
+        monkeypatch.setattr(casif.model, "backward_batch", corrupted)
+        cases = run_gradient_check(num_cases=2, d=4, num_items=8)
         assert max(c.rel_error for c in cases) > 1e-4

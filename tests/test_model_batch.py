@@ -1,5 +1,7 @@
 """The padded batch against the batch of one: gradients, logits, ranks and sub-batches."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,9 +136,18 @@ def test_loss_is_computed_only_when_read(monkeypatch):
 
     params, hp = case("casif", "eq13", 1)
     examples = mixed_examples(seed=8)
-    monkeypatch.setattr(casif.model, "_losses", refuse)
+    monkeypatch.setattr(casif.model, "_loss_and_grad", refuse)
     evaluate_model(params, hp, examples, ks=(5,))
     trace = forward(examples[0], params, hp)
     assert trace.probs.shape == (NUM_ITEMS,) and trace.logits.shape == (NUM_ITEMS,)
     with pytest.raises(AssertionError, match="loss computed"):
         trace.loss
+
+
+@pytest.mark.parametrize("loss_variant", LOSS_VARIANTS)
+def test_backward_follows_the_traced_loss(loss_variant):
+    # backward_batch differentiates the loss the trace was built for, whatever hp says
+    params, hp = case("casif", loss_variant, 1, seed=4)
+    other = replace(hp, loss_variant=next(v for v in LOSS_VARIANTS if v != loss_variant))
+    trace = forward_batch(mixed_examples(seed=9), params, hp)
+    assert np.array_equal(backward_batch(trace, params, other).flat, backward_batch(trace, params, hp).flat)

@@ -5,7 +5,7 @@ import pytest
 
 from casif import HyperParams, ModelParams, PrefixExample, forward, init_params, loss
 from casif.model import (
-    _loss_grad_wrt_logits,
+    _loss_and_grad,
     _softmax_with_log,
     _tensor_shapes,
     attention_global_interest,
@@ -179,7 +179,7 @@ class TestForwardProperties:
     def test_eq13_at_least_cross_entropy(self):
         params, hp = self.make()
         trace = forward(PrefixExample([2, 5, 1], 4), params, hp)
-        ce = loss(trace.probs, 4, variant="softmax_ce")
+        ce = loss(trace.probs, 4, variant="softmax_ce", log_probs=trace.log_probs)
         assert trace.loss >= ce
 
     def test_attention_coefficients_bounded(self):
@@ -258,7 +258,7 @@ class TestComponentShapes:
 
 
 class TestExtremeLogits:
-    """eq13 stays finite and exact when one item dominates the softmax."""
+    """The losses stay finite, and eq13 exact, when one item dominates the softmax."""
 
     @pytest.mark.parametrize("gap", [20.0, 37.0, 100.0, 1000.0])
     @pytest.mark.parametrize("label", [0, 5])
@@ -269,7 +269,7 @@ class TestExtremeLogits:
         logits[5] = gap
         probs, log_probs = _softmax_with_log(logits)
         got = loss(probs, label, "eq13", log_probs=log_probs)
-        grad = _loss_grad_wrt_logits(probs[None], log_probs[None], np.array([label]), "eq13")[0]
+        grad = _loss_and_grad(probs[None], log_probs[None], np.array([label]), "eq13")[1][0]
         ref_value, ref_grad = ref_eq13(logits.tolist(), label)
         assert math.isfinite(got) and np.isfinite(grad).all()
         assert got == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
@@ -279,5 +279,20 @@ class TestExtremeLogits:
         # adding a constant to every logit leaves the loss unchanged
         logits = np.array([0.0, 3.0, 1000.0, -2.0])
         probs, log_probs = _softmax_with_log(logits)
-        grad = _loss_grad_wrt_logits(probs[None], log_probs[None], np.array([0]), "eq13")[0]
+        grad = _loss_and_grad(probs[None], log_probs[None], np.array([0]), "eq13")[1][0]
         assert abs(grad.sum()) < 1e-12
+
+    def test_cross_entropy_is_finite_where_the_label_probability_underflows(self):
+        # at a gap of 1000 p(label 0) is 0.0 in float64; its log is -1000 all the same
+        logits = np.zeros(10)
+        logits[5] = 1000.0
+        probs, log_probs = _softmax_with_log(logits)
+        assert probs[0] == 0.0
+        assert loss(probs, 0, "softmax_ce", log_probs=log_probs) == pytest.approx(1000.0, rel=1e-12)
+        grad = _loss_and_grad(probs[None], log_probs[None], np.array([0]), "softmax_ce")[1][0]
+        assert np.array_equal(grad, probs - np.eye(10)[0])
+
+    def test_loss_requires_log_probs(self):
+        probs, _ = _softmax_with_log(np.zeros(3))
+        with pytest.raises(TypeError):
+            loss(probs, 0, "eq13")

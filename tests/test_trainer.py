@@ -24,7 +24,7 @@ from casif import (
     train,
 )
 from casif.errors import ConfigError, DataError
-from casif.model import VARIANTS, zero_gradients
+from casif.model import VARIANTS, sub_batches, zero_gradients
 from casif.trainer import ADAM_BETA1
 from reference_impl import ref_adam_step
 
@@ -265,11 +265,24 @@ class TestTrainingLoop:
         # second-order effects; with lambda=1 it must be clearly visible
         assert r_heavy.epoch_logs[0].mean_loss > r_none.epoch_logs[0].mean_loss + 1.0
 
-    def test_epoch_logs_carry_optional_metrics(self):
-        ds = toy_dataset(seed=6)
-        result = train(ds, small_cfg(epochs=1), eval_examples=ds.train[:5], eval_k=3)
-        rec = result.epoch_logs[0].record()
-        assert "recall@3" in rec["metrics"] and "mrr@3" in rec["metrics"]
+    def test_one_loss_pass_per_sub_batch(self, monkeypatch):
+        # the loss train logs and the gradient backward_batch takes come from one call
+        import casif.model
+        ds = toy_dataset(num_items=2000, n_sessions=40, seed=6)
+        cfg = small_cfg(epochs=1, batch_size=32)
+        single = casif.model._loss_and_grad
+        widths = []
+
+        def counting(probs, *args):
+            widths.append(probs.shape[0])
+            return single(probs, *args)
+
+        monkeypatch.setattr(casif.model, "_loss_and_grad", counting)
+        train(ds, cfg)
+        batches = make_batches(ds.train, cfg.batch_size, cfg.seed, 0)
+        expected = [len(rows) for batch in batches for rows in sub_batches(batch, ds.num_items, cfg.hp)]
+        assert len(expected) > len(batches)
+        assert widths == expected
 
     def test_identical_runs_identical_checkpoints(self, tmp_path):
         ds = toy_dataset(seed=7)
