@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import config as config_mod
 from . import corpus, evaluation, synth, trainer
 from .errors import ConfigError, DataError, VerificationError
 from .graph import build_session_graph
-from .model import forward, run_gradient_check
+from .model import CURRENT_INTEREST_INPUTS, LOSS_VARIANTS, VARIANTS, forward, run_gradient_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -231,7 +231,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    variants = ("casif", "casif_s") if args.variant == "both" else (args.variant,)
+    variants = VARIANTS if args.variant == "both" else (args.variant,)
     cases = run_gradient_check(num_cases=args.cases, variants=variants)
     worst = max(case.rel_error for case in cases)
     for case in cases:
@@ -240,8 +240,8 @@ def cmd_gradcheck(args) -> int:
               f"rel_err {case.rel_error:.3e}")
     print(f"worst relative error: {worst:.3e} over {len(cases)} cases (tolerance {args.tolerance:g})")
     if not worst < args.tolerance:
-        print("gradcheck FAILED", file=sys.stderr)
-        return EXIT_VERIFY
+        raise VerificationError(f"gradcheck FAILED: worst relative error {worst:.3e} "
+                                f"is not below the tolerance {args.tolerance:g}")
     print("gradcheck passed")
     return EXIT_OK
 
@@ -251,11 +251,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SynthSpec(
-        num_items=args.num_items, num_sessions=args.num_sessions,
-        min_len=args.min_len, max_len=args.max_len,
-        mode=args.mode, seed=args.seed, branching=args.branching,
-    )
+    # a flag left out keeps SynthSpec's default
+    spec = synth.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(synth.SynthSpec)
+                              if getattr(args, f.name) is not None})
     sessions = synth.generate_sessions(spec)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
@@ -301,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--d", type=int)
     p.add_argument("--gnn-steps", type=int)
-    p.add_argument("--variant", choices=["casif", "casif_s"])
-    p.add_argument("--loss-variant", choices=["eq13", "softmax_ce"])
-    p.add_argument("--current-interest-input", choices=["h_n", "c_a"])
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--loss-variant", choices=LOSS_VARIANTS)
+    p.add_argument("--current-interest-input", choices=CURRENT_INTEREST_INPUTS)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr0", type=float)
     p.add_argument("--lr-decay-factor", type=float)
@@ -332,19 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--cases", type=int, default=24)
-    p.add_argument("--variant", choices=["both", "casif", "casif_s"], default="both")
+    p.add_argument("--variant", choices=("both", *VARIANTS), default="both")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic raw click log")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["markov", "functional"], default="markov")
-    p.add_argument("--num-items", type=int, default=50)
-    p.add_argument("--num-sessions", type=int, default=1000)
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=10)
-    p.add_argument("--branching", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=synth.MODES)
+    p.add_argument("--num-items", type=int)
+    p.add_argument("--num-sessions", type=int)
+    p.add_argument("--min-len", type=int)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--branching", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -175,6 +175,8 @@ def sessionize_and_filter(
     to their most recent max_session_len clicks.  Output is ordered by
     session start time.  A max_session_len of 0 keeps every click.
     """
+    if min_session_len < 1:
+        raise ConfigError(f"min_session_len must be >= 1, got {min_session_len}")
     if max_session_len < 0:
         raise ConfigError(f"max_session_len must be >= 0 (0: no cap), got {max_session_len}")
     by_session: dict[str, list[ClickEvent]] = {}

@@ -107,13 +107,17 @@ def _report_from_ranks(ranks, lengths, ks) -> MetricsReport:
     return report
 
 
+def _check_cutoffs(ks, num_items: int) -> None:
+    for k in ks:
+        if not 1 <= k <= num_items:
+            raise ConfigError(f"cutoff k={k} out of range for {num_items} items")
+
+
 def evaluate_model(params: ModelParams, hp: HyperParams, examples, ks=DEFAULT_KS) -> MetricsReport:
     """Score every example with the model and aggregate rank metrics."""
+    _check_cutoffs(ks, params.num_items)
     if not examples:
         raise DataError("cannot evaluate on zero examples")
-    for k in ks:
-        if not 1 <= k <= params.num_items:
-            raise ConfigError(f"cutoff k={k} out of range for {params.num_items} items")
     ranks = np.empty(len(examples), dtype=np.int64)
     for rows in sub_batches(examples, params.num_items, hp):
         chunk = [examples[i] for i in rows]
@@ -130,6 +134,7 @@ def popularity_scores(train_examples, num_items: int) -> np.ndarray:
 
 def pop_baseline(train_examples, test_examples, num_items: int, ks=DEFAULT_KS) -> MetricsReport:
     """Rank items by training popularity and evaluate like any model."""
+    _check_cutoffs(ks, num_items)
     if not train_examples:
         raise DataError("popularity baseline needs training examples")
     if not test_examples:

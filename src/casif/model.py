@@ -294,10 +294,8 @@ class ForwardTrace:
     when first read.
     """
 
-    def __init__(self, batch: BatchTrace, example):
+    def __init__(self, batch: BatchTrace):
         self.batch = batch
-        self.prefix = list(example.prefix)
-        self.label = int(example.label)
 
     def __getattr__(self, name):
         if name not in _ROW_FIELDS:
@@ -502,7 +500,7 @@ def forward_batch(examples, params: ModelParams, hp: HyperParams) -> BatchTrace:
 
 def forward(example, params: ModelParams, hp: HyperParams) -> ForwardTrace:
     """Full forward pass of one (prefix, label) example: the batch of one."""
-    return ForwardTrace(forward_batch([example], params, hp), example)
+    return ForwardTrace(forward_batch([example], params, hp))
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +685,8 @@ def run_gradient_check(
         examples = []
         for k in range(1 if i < num_cases else 2 + i % 2):
             prefix_len = 1 + (i + 2 * k) % 5
-            prefix = [int(x) for x in np.minimum(
-                (draws.uniform(prefix_len) * num_items).astype(np.int64), num_items - 1)]
-            label = int(min(int(draws.uniform(1)[0] * num_items), num_items - 1))
+            prefix = [int(x) for x in draws.integers(prefix_len, num_items)]
+            label = int(draws.integers(1, num_items)[0])
             examples.append(PrefixExample(prefix, label))
 
         scale = 1.0 / len(examples)

@@ -27,6 +27,7 @@ from .rng import STREAM_SYNTH, SplitMix64, substream_seed
 BASE_TIME_MS = 1_500_000_000_000   # arbitrary fixed origin, keeps output stable
 SESSION_GAP_MS = 600_000
 CLICK_GAP_MS = 1_000
+MODES = ("markov", "functional")
 
 
 @dataclass
@@ -46,8 +47,8 @@ class SynthSpec:
             raise ConfigError(f"num_sessions must be >= 1, got {self.num_sessions}")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError(f"need 1 <= min_len <= max_len, got {self.min_len}..{self.max_len}")
-        if self.mode not in ("markov", "functional"):
-            raise ConfigError(f"mode must be 'markov' or 'functional', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "functional" and self.num_sessions > self.num_items:
             raise ConfigError(
                 "functional mode needs one distinct start item per session: "

@@ -13,13 +13,18 @@ Parameters, gradients and Adam moments are each one float64 vector
 ``flat`` viewed by named tensors, so Adam and the gradient scaling are
 whole-vector operations, and the checkpoint's tensor section is ``params.flat``.
 
-Checkpoint layout (all little-endian):
+Checkpoint layout (all little-endian), one for every file:
 
     magic "CASF" | version u16 | d u32 | num_items u32 | gnn_steps u32
-    variant u8 | loss u8 | current-interest u8 | flags u8 | epoch u32
+    variant u8 | loss u8 | current-interest u8 | flags u8 = 3 | epoch u32
     tensors: params.flat, float64, every tensor row-major in declared order
-    [flags bit0] adam step counter u64, then (moment1, moment2) per tensor
-    [flags bit1] rng seed u64
+    adam step counter u64, then (moment1, moment2) per tensor
+    rng seed u64
+
+The flags byte is always 3 (Adam state and seed present), as in every
+file ``train`` has written.  The header fixes the payload length at
+8 * (3 * size + 2) bytes for ``size`` parameter entries, so a file of any
+other length is truncated or has trailing bytes.
 """
 
 from __future__ import annotations
@@ -51,9 +56,11 @@ from .rng import STREAM_SHUFFLE, SplitMix64, substream_seed
 
 CHECKPOINT_MAGIC = b"CASF"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_FLAGS = 3    # Adam state and seed: every file holds both
 
-_FLAG_ADAM = 1
-_FLAG_RNG = 2
+# magic, version, d, num_items, gnn_steps, variant, loss, current-interest, flags, epoch
+_HEADER = struct.Struct("<4sHIIIBBBBI")
+_U64 = struct.Struct("<Q")
 
 # Adam's moment decay rates and denominator epsilon
 ADAM_BETA1 = 0.9
@@ -79,14 +86,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr0 > 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ConfigError(f"lr0 must be finite and positive, got {self.lr0}")
+        if not (math.isfinite(self.lr_decay_factor) and self.lr_decay_factor > 0):
+            raise ConfigError(f"lr_decay_factor must be finite and positive, got {self.lr_decay_factor}")
         if self.lr_decay_every < 1:
             raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.l2_lambda < 0:
-            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ConfigError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
 
 
 @dataclass
@@ -104,9 +113,9 @@ class AdamState:
 class Checkpoint:
     hp: HyperParams
     params: ModelParams
-    adam: AdamState | None = None
-    epoch: int = 0
-    rng_seed: int | None = None
+    adam: AdamState
+    epoch: int
+    rng_seed: int
 
     @property
     def num_items(self) -> int:
@@ -126,7 +135,6 @@ class EpochLog:
 @dataclass
 class TrainResult:
     params: ModelParams
-    adam: AdamState
     epoch_logs: list
     checkpoint: Checkpoint
 
@@ -187,13 +195,12 @@ def train(
 
     Per batch: mean example loss plus l2_lambda * sum of squared parameter
     entries, gradients to match, one Adam step at the epoch's learning
-    rate.  Pass a checkpoint to continue from its epoch, with its model
-    settings and, when it holds one, its seed in place of ``cfg``'s; the
-    result is bit-identical to a run that never stopped.
+    rate.  Pass a checkpoint to continue from its epoch, with its
+    parameters, Adam state, model settings and seed in place of ``cfg``'s;
+    the result is bit-identical to a run that never stopped.
     """
     if not dataset.train:
         raise DataError("dataset has no training examples")
-    hp, seed = cfg.hp, cfg.seed
     if resume is not None:
         if resume.num_items != dataset.num_items:
             raise DataError(
@@ -201,16 +208,12 @@ def train(
         if resume.epoch > cfg.epochs:
             raise ConfigError(
                 f"checkpoint has trained {resume.epoch} epochs, more than the {cfg.epochs} asked for")
-        params = resume.params
-        adam = resume.adam if resume.adam is not None else AdamState.fresh(params)
-        hp = resume.hp
-        if resume.rng_seed is not None:
-            seed = resume.rng_seed
-        start_epoch = resume.epoch
+        params, adam, hp = resume.params, resume.adam, resume.hp
+        seed, start_epoch = resume.rng_seed, resume.epoch
     else:
+        hp, seed, start_epoch = cfg.hp, cfg.seed, 0
         params = init_params(dataset.num_items, hp, seed)
         adam = AdamState.fresh(params)
-        start_epoch = 0
 
     logs: list[EpochLog] = []
     grads = zero_gradients(params)      # one buffer, zeroed per batch: a fresh one is a fresh mmap above 32 MiB
@@ -237,7 +240,7 @@ def train(
         logs.append(EpochLog(epoch=epoch, lr=lr, mean_loss=float(np.mean(batch_losses))))
 
     ckpt = Checkpoint(hp=hp, params=params, adam=adam, epoch=cfg.epochs, rng_seed=seed)
-    return TrainResult(params=params, adam=adam, epoch_logs=logs, checkpoint=ckpt)
+    return TrainResult(params=params, epoch_logs=logs, checkpoint=ckpt)
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +253,38 @@ def _write_array(fh, arr: np.ndarray):
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Serialize a checkpoint; see the module docstring for the layout."""
-    flags = (_FLAG_ADAM if ckpt.adam is not None else 0) | (_FLAG_RNG if ckpt.rng_seed is not None else 0)
     hp = ckpt.hp
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack(
-            "<IIIBBBBI",
-            hp.d, ckpt.num_items, hp.gnn_steps,
+        fh.write(_HEADER.pack(
+            CHECKPOINT_MAGIC, CHECKPOINT_VERSION, hp.d, ckpt.num_items, hp.gnn_steps,
             VARIANTS.index(hp.variant),
             LOSS_VARIANTS.index(hp.loss_variant),
             CURRENT_INTEREST_INPUTS.index(hp.current_interest_input),
-            flags, ckpt.epoch,
+            CHECKPOINT_FLAGS, ckpt.epoch,
         ))
         _write_array(fh, ckpt.params.flat)
-        if ckpt.adam is not None:
-            fh.write(struct.pack("<Q", ckpt.adam.t))
-            for name in ckpt.params.tensor_names():
-                _write_array(fh, ckpt.adam.moment1[name])
-                _write_array(fh, ckpt.adam.moment2[name])
-        if ckpt.rng_seed is not None:
-            fh.write(struct.pack("<Q", ckpt.rng_seed & 0xFFFFFFFFFFFFFFFF))
-
-
-def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise DataError(f"{path}: truncated checkpoint while reading {what}")
-    return data
+        fh.write(_U64.pack(ckpt.adam.t))
+        for name in ckpt.params.tensor_names():
+            _write_array(fh, ckpt.adam.moment1[name])
+            _write_array(fh, ckpt.adam.moment2[name])
+        fh.write(_U64.pack(ckpt.rng_seed & 0xFFFFFFFFFFFFFFFF))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint, validating magic, version, and length."""
+    """Inverse of save_checkpoint, validating magic, header, and length."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
+        header = fh.read(_HEADER.size)
+        magic = header[:len(CHECKPOINT_MAGIC)]
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, not a checkpoint file")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, path, "version"))
+        if len(header) < _HEADER.size:
+            raise DataError(f"{path}: truncated checkpoint header")
+        (_, version, d, num_items, gnn_steps, variant_code, loss_code, cur_code, flags,
+         epoch) = _HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        d, num_items, gnn_steps, variant_code, loss_code, cur_code, flags, epoch = struct.unpack(
-            "<IIIBBBBI", _read_exact(fh, 20, path, "header"))
+        if flags != CHECKPOINT_FLAGS:
+            raise DataError(f"{path}: bad header: flags must be {CHECKPOINT_FLAGS}, got {flags}")
         try:
             hp = HyperParams(
                 d=d, gnn_steps=gnn_steps,
@@ -307,33 +301,23 @@ def load_checkpoint(path) -> Checkpoint:
 
         shapes = _tensor_shapes(num_items, d, hp.variant)
         size = sum(math.prod(shape) for shape in shapes.values())
-        # size check first, so a corrupt header cannot allocate more than the file holds
-        if 8 * size * (3 if flags & _FLAG_ADAM else 1) > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise DataError(f"{path}: truncated checkpoint while reading tensors")
+        # the one length check, before any allocation: a corrupt header cannot ask for
+        # more than the file holds, and no read below can come up short
+        expected = _HEADER.size + 8 * (3 * size + 2)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            problem = "truncated checkpoint" if actual < expected else "trailing bytes after checkpoint payload"
+            raise DataError(f"{path}: {problem}: {actual} bytes, the header needs {expected}")
 
-        def read_into(arr, what):
-            if fh.readinto(arr) != arr.nbytes:
-                raise DataError(f"{path}: truncated checkpoint while reading {what}")
-            return arr
+        params = ModelParams.from_flat(np.empty(size, dtype="<f8"), shapes)
+        fh.readinto(params.flat)
+        (t,) = _U64.unpack(fh.read(_U64.size))
+        moments = np.empty(2 * size, dtype="<f8")
+        moment1, moment2 = Gradients(moments[:size], shapes), Gradients(moments[size:], shapes)
+        for name in shapes:     # interleaved per tensor
+            fh.readinto(moment1[name])
+            fh.readinto(moment2[name])
+        (rng_seed,) = _U64.unpack(fh.read(_U64.size))
 
-        params = ModelParams.from_flat(read_into(np.empty(size, dtype="<f8"), "tensors"), shapes)
-
-        adam = None
-        if flags & _FLAG_ADAM:
-            (t,) = struct.unpack("<Q", _read_exact(fh, 8, path, "optimizer step counter"))
-            moments = np.empty(2 * size, dtype="<f8")
-            moment1, moment2 = Gradients(moments[:size], shapes), Gradients(moments[size:], shapes)
-            for name in shapes:     # interleaved per tensor
-                read_into(moment1[name], f"optimizer moment1 {name}")
-                read_into(moment2[name], f"optimizer moment2 {name}")
-            adam = AdamState(moment1=moment1, moment2=moment2, t=t)
-
-        rng_seed = None
-        if flags & _FLAG_RNG:
-            (rng_seed,) = struct.unpack("<Q", _read_exact(fh, 8, path, "rng seed"))
-
-        trailing = fh.read(1)
-        if trailing:
-            raise DataError(f"{path}: trailing bytes after checkpoint payload")
-
-    return Checkpoint(hp=hp, params=params, adam=adam, epoch=epoch, rng_seed=rng_seed)
+    return Checkpoint(hp=hp, params=params, adam=AdamState(moment1=moment1, moment2=moment2, t=t),
+                      epoch=epoch, rng_seed=rng_seed)

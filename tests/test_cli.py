@@ -1,3 +1,4 @@
+import io
 import json
 import shutil
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from casif import SynthSpec, generate_sessions, write_click_log
 from casif.cli import main
 
 
@@ -76,6 +78,24 @@ class TestPipeline:
                    "--baseline", "pop", "--ks", "1,5"])
         assert rc == 0
         assert "Recall@1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["baseline", "checkpoint"])
+    def test_evaluate_cutoff_out_of_range_is_config_error(self, pipeline, capsys, source):
+        # the baseline checks its cutoffs against the catalog exactly as the model does
+        given = ["--baseline", "pop"] if source == "baseline" else ["--checkpoint", str(pipeline["ckpt"])]
+        rc = main(["evaluate", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                   *given, "--ks", "5,100000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cutoff k=100000 out of range") and captured.err.count("\n") == 1
+
+    def test_synth_without_flags_uses_the_spec_defaults(self, tmp_path, capsys):
+        out = tmp_path / "default.csv"
+        assert main(["synth", "--out", str(out)]) == 0
+        expected = io.StringIO()
+        write_click_log(generate_sessions(SynthSpec()), expected)
+        assert out.read_text() == expected.getvalue()
 
     def test_predict_prints_k_rows(self, pipeline, capsys):
         with open(pipeline["data"] / "dataset.jsonl.vocab") as fh:
@@ -201,7 +221,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [("--delimiter", ""), ("--session-col", "-1"),
                                              ("--time-col", "-2"), ("--item-col", "-1"),
-                                             ("--max-session-len", "-3")])
+                                             ("--max-session-len", "-3"), ("--min-session-len", "0")])
     def test_bad_log_and_length_settings_are_config_errors(self, pipeline, tmp_path, capsys,
                                                            flag, value):
         rc = main(["preprocess", "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d"),

@@ -114,6 +114,17 @@ class TestMetricOracle:
         with pytest.raises(ConfigError):
             evaluate_model(params, hp, train, ks=(6,))
 
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_both_sources_reject_the_same_cutoffs(self, k):
+        # a cutoff outside [1, num_items] is refused by the baseline exactly as by the model
+        hp = HyperParams(d=4)
+        params = init_params(5, hp, seed=0)
+        train = [PrefixExample([0], 1)]
+        for run in (lambda: evaluate_model(params, hp, train, ks=(1, k)),
+                    lambda: pop_baseline(train, train, 5, ks=(1, k))):
+            with pytest.raises(ConfigError, match=f"cutoff k={k} out of range for 5 items"):
+                run()
+
 
 class TestModelEvaluation:
     def test_uniform_scores_rank_labels_by_index(self):

@@ -223,7 +223,7 @@ class TestFlatLayout:
         adam = AdamState.fresh(params)
         adam.moment1.flat[:] = 0.5
         path = tmp_path / "flat.ckpt"
-        save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=adam))
+        save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=adam, epoch=0, rng_seed=0))
         header = 26     # magic, version and the fixed header fields
         assert path.read_bytes()[header:header + params.flat.nbytes] == params.flat.tobytes()
         back = load_checkpoint(path)
@@ -235,9 +235,14 @@ class TestFlatLayout:
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):
+        nan, inf = float("nan"), float("inf")
         for kw in ({"epochs": 0}, {"batch_size": 0}, {"lr0": 0.0},
-                   {"lr_decay_every": 0}, {"l2_lambda": -1e-6}):
-            with pytest.raises(ConfigError):
+                   {"lr_decay_every": 0}, {"l2_lambda": -1e-6},
+                   # a sign-flipping or non-finite rate trains wrongly or fails late on the loss
+                   {"lr0": inf}, {"lr0": nan}, {"lr_decay_factor": -1.0}, {"lr_decay_factor": 0.0},
+                   {"lr_decay_factor": nan}, {"lr_decay_factor": inf},
+                   {"l2_lambda": nan}, {"l2_lambda": inf}):
+            with pytest.raises(ConfigError, match=next(iter(kw))):
                 small_cfg(**kw)
 
 
@@ -366,14 +371,6 @@ class TestCheckpointFormat:
         assert back.hp.variant == "casif_s"
         assert np.array_equal(back.params.att_simple_w, ckpt.params.att_simple_w)
 
-    def test_optional_sections_can_be_absent(self, tmp_path):
-        hp = HyperParams(d=4)
-        ckpt = Checkpoint(hp=hp, params=init_params(3, hp, seed=1))
-        path = tmp_path / "bare.ckpt"
-        save_checkpoint(path, ckpt)
-        back = load_checkpoint(path)
-        assert back.adam is None and back.rng_seed is None
-
     # sha256 of the checkpoint below.  It pins the tensor order, which is both
     # the byte layout and the init draw order, and the Adam-state layout.
     LAYOUT_SHA256 = {
@@ -419,6 +416,17 @@ class TestCheckpointFormat:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(DataError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("flags", [0, 1, 2, 7])
+    def test_flags_other_than_3_are_a_data_error(self, tmp_path, flags):
+        # every file holds the Adam state and the seed; any other flags byte is a bad header
+        _, _, path = self.roundtrip(tmp_path)
+        data = bytearray(path.read_bytes())
+        assert data[21] == 3
+        data[21] = flags
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="bad header: flags"):
             load_checkpoint(path)
 
     def test_unsupported_version_detected(self, tmp_path):
