@@ -82,13 +82,12 @@ def cmd_preprocess(args) -> int:
     dataset_path = out_dir / "dataset.jsonl"
     corpus.persist_dataset(ds, dataset_path)
 
-    train_idx, test_idx = corpus.reindexed_sessions(train_sessions, test_sessions, ds.vocab)
-    kept = train_idx + test_idx
+    kept = ds.train_sessions + ds.test_sessions
     clicks = sum(len(s) for s in kept)
     stats = {
         "clicks": clicks,
-        "train_sessions": len(train_idx),
-        "test_sessions": len(test_idx),
+        "train_sessions": len(ds.train_sessions),
+        "test_sessions": len(ds.test_sessions),
         "items": ds.num_items,
         "average_length": clicks / len(kept),
         "train_examples": len(ds.train),

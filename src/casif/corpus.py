@@ -1,10 +1,14 @@
 """Click-log ingestion: parsing, sessionization, filtering, splitting.
 
-The pipeline turns a raw delimited click log into a ProcessedDataset of
-(prefix, label) training examples with a contiguous item vocabulary:
+The pipeline turns a raw delimited click log into a ProcessedDataset:
+integer-indexed sessions over a contiguous item vocabulary, and the
+(prefix, label) examples expanded from them:
 
     parse_click_log -> sessionize_and_filter -> time_split
         -> take_recent_fraction (train side) -> build_vocab_and_reindex
+
+The dataset file (persist_dataset, load_dataset) holds the sessions, one
+per line; the examples are expanded again when it is loaded.
 
 Filtering is single-pass: item support is counted once over the whole
 sessionized corpus (occurrences, repeats included), low-support items are
@@ -26,7 +30,7 @@ from fractions import Fraction
 from .errors import ConfigError, DataError
 
 DATASET_FORMAT = "casif-dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass
@@ -70,10 +74,17 @@ class ItemVocabulary:
 
 @dataclass
 class ProcessedDataset:
-    train: list[PrefixExample]
-    test: list[PrefixExample]
+    """Integer sessions per split; ``train`` and ``test`` are their expanded examples, in order."""
+    train_sessions: list[list[int]]
+    test_sessions: list[list[int]]
     vocab: ItemVocabulary
     provenance: dict = field(default_factory=dict)
+    train: list[PrefixExample] = field(init=False, repr=False)
+    test: list[PrefixExample] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.train = [ex for items in self.train_sessions for ex in expand_prefixes(Session(items))]
+        self.test = [ex for items in self.test_sessions for ex in expand_prefixes(Session(items))]
 
     @property
     def num_items(self) -> int:
@@ -241,42 +252,40 @@ def _as_fraction(fraction) -> Fraction:
 
 def expand_prefixes(session: Session) -> list[PrefixExample]:
     """All (items[:k], items[k]) pairs for k = 1 .. n-1; empty when n < 2."""
-    items = session.items
-    return [PrefixExample(list(items[:k]), items[k]) for k in range(1, len(items))]
+    items = list(session.items)     # a list, so each slice is a new list
+    return [PrefixExample(items[:k], items[k]) for k in range(1, len(items))]
 
 
 def build_vocab_and_reindex(train_sessions, test_sessions, provenance: dict | None = None) -> ProcessedDataset:
-    """Index items from the training split and expand both splits to examples.
+    """Index items from the training split and reindex both splits.
 
-    Vocabulary order is first occurrence in training; the test split is
-    pruned as reindexed_sessions describes.
+    Vocabulary order is first occurrence in training, over every training
+    session.  Test items missing from the vocabulary are removed.  Then
+    sessions shorter than two, which give no example, are dropped from
+    both splits, so every kept session is one load_dataset accepts.
     """
     if not train_sessions:
         raise DataError("cannot build a dataset from an empty training split")
     vocab = ItemVocabulary.from_sessions(train_sessions)
-    train, test = reindexed_sessions(train_sessions, test_sessions, vocab)
-    train_examples = [ex for items in train for ex in expand_prefixes(Session(items))]
-    test_examples = [ex for items in test for ex in expand_prefixes(Session(items))]
-    return ProcessedDataset(train_examples, test_examples, vocab, provenance or {})
-
-
-def reindexed_sessions(train_sessions, test_sessions, vocab: ItemVocabulary):
-    """The integer-indexed sessions behind a dataset: test items missing from
-    the vocabulary are removed, then test sessions shorter than two dropped."""
-    train = [[vocab.raw_to_index[it] for it in s.items] for s in train_sessions]
+    index = vocab.raw_to_index
+    train = [[index[it] for it in s.items] for s in train_sessions if len(s.items) >= 2]
+    if not train:
+        raise DataError("no training session has two or more items")
     test = []
     for s in test_sessions:
-        items = [vocab.raw_to_index[it] for it in s.items if it in vocab.raw_to_index]
+        items = [index[it] for it in s.items if it in index]
         if len(items) >= 2:
             test.append(items)
-    return train, test
+    return ProcessedDataset(train, test, vocab, provenance or {})
 
 
 def persist_dataset(ds: ProcessedDataset, path) -> None:
     """Write a dataset as JSON lines, plus its vocabulary beside it.
 
-    Line 1 is a header record; every following line is one example.  The
-    vocabulary goes to path + '.vocab', one {"raw", "index"} record per line.
+    Line 1 is a header record; every following line is one session,
+    {"items": [...], "split": "train"|"test"}: train sessions first, then
+    test, each in dataset order.  The vocabulary goes to path + '.vocab',
+    one {"raw", "index"} record per line.
     """
     with open(path, "w", encoding="utf-8") as fh:
         header = {
@@ -286,17 +295,22 @@ def persist_dataset(ds: ProcessedDataset, path) -> None:
             "provenance": ds.provenance,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for split, examples in (("train", ds.train), ("test", ds.test)):
-            for ex in examples:
-                rec = {"split": split, "prefix": [int(i) for i in ex.prefix], "label": int(ex.label)}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for split, sessions in (("train", ds.train_sessions), ("test", ds.test_sessions)):
+            for items in sessions:
+                fh.write(json.dumps({"items": items, "split": split}, sort_keys=True) + "\n")
     with open(f"{path}.vocab", "w", encoding="utf-8") as fh:
         for index, raw in enumerate(ds.vocab.index_to_raw):
             fh.write(json.dumps({"raw": raw, "index": index}, sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> ProcessedDataset:
-    """Inverse of persist_dataset; validates the header and every record."""
+    """Inverse of persist_dataset; validates the header and every session.
+
+    A session must be a list of at least two integer item indices in
+    [0, num_items), and its split "train" or "test".  Anything else, or a
+    header of another format or version, is a DataError naming the file
+    and line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header_line = fh.readline()
@@ -311,30 +325,28 @@ def load_dataset(path) -> ProcessedDataset:
             num_items = header.get("num_items")
             if not isinstance(num_items, int) or isinstance(num_items, bool) or num_items < 1:
                 raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
-            train: list[PrefixExample] = []
-            test: list[PrefixExample] = []
+            splits: dict[str, list[list[int]]] = {"train": [], "test": []}
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 try:
                     rec = json.loads(line)
-                    split = rec["split"]
-                    ex = PrefixExample([int(i) for i in rec["prefix"]], int(rec["label"]))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    items, split = rec["items"], rec["split"]
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-                if split == "train":
-                    train.append(ex)
-                elif split == "test":
-                    test.append(ex)
-                else:
+                if split not in ("train", "test"):
                     raise DataError(f"{path}: line {lineno}: unknown split {split!r}")
-                if any(i < 0 or i >= num_items for i in ex.prefix) or not 0 <= ex.label < num_items:
+                if type(items) is not list or len(items) < 2 or not all(type(i) is int for i in items):
+                    raise DataError(f"{path}: line {lineno}: malformed record: "
+                                    "items must be a list of at least 2 integers")
+                if min(items) < 0 or max(items) >= num_items:
                     raise DataError(f"{path}: line {lineno}: item index out of range [0, {num_items})")
+                splits[split].append(items)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
     vocab = load_vocab(f"{path}.vocab", num_items)
-    return ProcessedDataset(train, test, vocab, header.get("provenance", {}))
+    return ProcessedDataset(splits["train"], splits["test"], vocab, header.get("provenance", {}))
 
 
 def load_vocab(path, num_items: int) -> ItemVocabulary:

@@ -675,6 +675,8 @@ def run_gradient_check(
     divided by the batch size first, so the error floor of
     ``relative_gradient_error`` is that of one example.
     """
+    if num_cases < 0:
+        raise ConfigError(f"num_cases must be >= 0, got {num_cases}")
     combos = [(v, lv, steps) for v in variants for lv in LOSS_VARIANTS for steps in (1, 2)]
     cases = []
     for i in range(num_cases + len(combos)):

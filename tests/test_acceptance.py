@@ -16,12 +16,10 @@ from casif import (
     PrefixExample,
     ItemVocabulary,
     ProcessedDataset,
-    Session,
     TrainConfig,
     build_session_graph,
     build_vocab_and_reindex,
     evaluate_model,
-    expand_prefixes,
     forward,
     generate_sessions,
     init_params,
@@ -49,12 +47,9 @@ def verdict(capsys, num, name, ok, detail=""):
 
 
 def dataset_from_sessions(sessions, num_items):
-    examples = []
-    for items in sessions:
-        examples.extend(expand_prefixes(Session(items=list(items), start_time=0)))
     vocab = ItemVocabulary({str(i): i for i in range(num_items)},
                            [str(i) for i in range(num_items)])
-    return ProcessedDataset(train=examples, test=[], vocab=vocab)
+    return ProcessedDataset(train_sessions=[list(items) for items in sessions], test_sessions=[], vocab=vocab)
 
 
 @pytest.fixture(scope="module")

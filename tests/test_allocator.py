@@ -13,16 +13,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TRAIN_TWICE = """
 import resource
 import numpy as np
-from casif import HyperParams, ItemVocabulary, PrefixExample, ProcessedDataset, TrainConfig, train
+from casif import HyperParams, ItemVocabulary, ProcessedDataset, TrainConfig, train
 
 num_items = 1500
 rng = np.random.default_rng(0)
-examples = []
-while len(examples) < 512:
-    items = [int(x) for x in rng.integers(0, num_items, size=int(rng.integers(2, 8)))]
-    examples += [PrefixExample(items[:k], items[k]) for k in range(1, len(items))]
+sessions = []
+while sum(len(items) - 1 for items in sessions) < 512:
+    sessions.append([int(x) for x in rng.integers(0, num_items, size=int(rng.integers(2, 8)))])
 vocab = ItemVocabulary({str(i): i for i in range(num_items)}, [str(i) for i in range(num_items)])
-ds = ProcessedDataset(train=examples[:512], test=[], vocab=vocab)
+ds = ProcessedDataset(train_sessions=sessions, test_sessions=[], vocab=vocab)
 cfg = TrainConfig(hp=HyperParams(d=16), epochs=1, batch_size=128, seed=1)
 train(ds, cfg)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

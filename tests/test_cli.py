@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -202,6 +203,55 @@ class TestExitCodes:
         rc = main(["gradcheck", "--cases", "2", "--tolerance", "0"])
         assert rc == 3
         assert "gradcheck FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cases", ["-8", "-3"])
+    def test_negative_gradcheck_cases_is_config_error(self, capsys, cases):
+        rc = main(["gradcheck", "--cases", cases])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: num_cases must be >= 0, got {cases}\n"
+
+    @pytest.mark.parametrize("spoil", ["[0]", "[]", "version_1"])
+    def test_train_rejects_bad_dataset_without_traceback(self, pipeline, tmp_path, spoil):
+        dataset = tmp_path / "dataset.jsonl"
+        shutil.copy(pipeline["data"] / "dataset.jsonl.vocab", f"{dataset}.vocab")
+        lines = open(pipeline["data"] / "dataset.jsonl").readlines()
+        if spoil == "version_1":
+            header = json.loads(lines[0])
+            lines[0] = json.dumps({**header, "version": 1}) + "\n"
+            message = "unsupported version 1"
+        else:
+            # the first record's item list becomes one item, or none
+            lines[1] = re.sub(r"\[[^]]*\]", spoil, lines[1], count=1)
+            message = "line 2: malformed record"
+        dataset.write_text("".join(lines))
+        proc = subprocess.run(
+            [sys.executable, "-m", "casif.cli", "train", "--dataset", str(dataset),
+             "--checkpoint-out", str(tmp_path / "m.ckpt")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert str(dataset) in proc.stderr and message in proc.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_one_click_sessions_kept_by_min_session_len_1_still_train(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        # s1 is one click on an item seen nowhere else; s4 falls after the split
+        raw.write_text("s1,1000,x\ns2,2000,a\ns2,2001,b\ns3,3000,b\ns3,3001,a\n"
+                       "s4,9000,a\ns4,9001,x\n")
+        data = tmp_path / "data"
+        assert main(["preprocess", "--input", str(raw), "--out-dir", str(data),
+                     "--min-item-support", "1", "--min-session-len", "1",
+                     "--split-ts", "5000"]) == 0
+        vocab = [json.loads(line)["raw"] for line in open(data / "dataset.jsonl.vocab")]
+        assert vocab == ["x", "a", "b"]
+        records = [json.loads(line) for line in open(data / "dataset.jsonl")][1:]
+        assert records == [{"items": [1, 2], "split": "train"}, {"items": [2, 1], "split": "train"},
+                           {"items": [1, 0], "split": "test"}]
+        stats = json.loads((data / "stats.json").read_text())["stats"]
+        assert (stats["train_sessions"], stats["test_sessions"], stats["clicks"]) == (2, 1, 6)
+        assert main(["train", "--dataset", str(data / "dataset.jsonl"),
+                     "--checkpoint-out", str(tmp_path / "m.ckpt"), "--d", "4", "--epochs", "1"]) == 0
 
     def test_strict_preprocess_aborts_on_bad_line(self, pipeline, tmp_path, capsys):
         raw = tmp_path / "bad.csv"

@@ -7,19 +7,25 @@ import pytest
 from casif import (
     ClickEvent,
     DataError,
+    HyperParams,
     LogFormat,
     PrefixExample,
     Session,
+    SynthSpec,
+    TrainConfig,
     build_vocab_and_reindex,
     expand_prefixes,
+    generate_sessions,
     load_dataset,
     load_vocab,
     parse_click_log,
     parse_timestamp_ms,
     persist_dataset,
+    save_checkpoint,
     sessionize_and_filter,
     take_recent_fraction,
     time_split,
+    train,
 )
 from casif.errors import ConfigError
 from test_cli import corrupt_vocab
@@ -179,6 +185,17 @@ class TestVocabAndReindex:
         with pytest.raises(DataError):
             build_vocab_and_reindex([], [Session(["a", "b"], 0)])
 
+    def test_one_item_train_session_indexed_then_dropped(self):
+        train = [Session(["x"], 0), Session(["a", "b"], 1)]
+        ds = build_vocab_and_reindex(train, [Session(["x", "a"], 5)])
+        assert ds.vocab.index_to_raw == ["x", "a", "b"]
+        assert ds.train_sessions == [[1, 2]]
+        assert ds.test_sessions == [[0, 1]]
+
+    def test_no_train_session_of_two_items_rejected(self):
+        with pytest.raises(DataError, match="no training session has two or more items"):
+            build_vocab_and_reindex([Session(["a"], 0), Session(["b"], 1)], [Session(["a", "b"], 5)])
+
 
 class TestPersistence:
     def make_ds(self):
@@ -203,7 +220,7 @@ class TestPersistence:
         with open(path) as fh:
             header = json.loads(fh.readline())
         assert header["format"] == "casif-dataset"
-        assert header["version"] == 1
+        assert header["version"] == 2
         assert header["num_items"] == 3
 
     def test_wrong_format_rejected(self, tmp_path):
@@ -214,13 +231,14 @@ class TestPersistence:
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": "casif-dataset", "version": 99, "num_items": 1}\n')
-        with pytest.raises(DataError, match="version"):
-            load_dataset(path)
+        for version in (1, 99):
+            path.write_text(f'{{"format": "casif-dataset", "version": {version}, "num_items": 1}}\n')
+            with pytest.raises(DataError, match=f"unsupported version {version}"):
+                load_dataset(path)
 
     def test_missing_item_count_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": "casif-dataset", "version": 1}\n')
+        path.write_text('{"format": "casif-dataset", "version": 2}\n')
         with pytest.raises(DataError, match="num_items"):
             load_dataset(path)
 
@@ -238,9 +256,56 @@ class TestPersistence:
         path = tmp_path / "data.jsonl"
         persist_dataset(ds, path)
         with open(path, "a") as fh:
-            fh.write(json.dumps({"split": "train", "prefix": [99], "label": 0}) + "\n")
+            fh.write(json.dumps({"items": [0, 99], "split": "train"}) + "\n")
         with pytest.raises(DataError, match="out of range"):
             load_dataset(path)
+
+    def test_one_record_per_session(self, tmp_path):
+        ds = self.make_ds()
+        path = tmp_path / "data.jsonl"
+        persist_dataset(ds, path)
+        lines = open(path).read().splitlines()
+        assert len(lines) == 1 + len(ds.train_sessions) + len(ds.test_sessions) == 4
+        assert [json.loads(line) for line in lines[1:]] == [
+            {"items": [0, 1, 0], "split": "train"}, {"items": [1, 2], "split": "train"},
+            {"items": [2, 0], "split": "test"}]
+
+    @pytest.mark.parametrize("record", [
+        {"items": ["1", 0], "split": "train"},
+        {"items": [1.7, 0], "split": "train"},
+        {"items": [True, 0], "split": "train"},
+        {"items": [], "split": "train"},
+        {"items": [0], "split": "test"},
+        {"items": "01", "split": "train"},
+        {"items": [-1, 0], "split": "train"},
+        {"items": [0, 3], "split": "test"},
+        {"items": [0, 1], "split": "valid"},
+        {"items": [0, 1], "split": ["train"]},
+        {"items": [0, 1]},
+        {"split": "train", "prefix": [0], "label": 1},
+        [0, 1],
+    ], ids=repr)
+    def test_malformed_session_rejected(self, tmp_path, record):
+        path = tmp_path / "data.jsonl"
+        persist_dataset(self.make_ds(), path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=f"{path}: line 5: "):
+            load_dataset(path)
+
+    def test_training_on_the_loaded_dataset_is_unchanged(self, tmp_path):
+        sessions = generate_sessions(SynthSpec(num_items=12, num_sessions=40, seed=2))
+        raw = [Session([f"i{x}" for x in items], t) for t, items in enumerate(sessions)]
+        ds = build_vocab_and_reindex(raw[:30], raw[30:])
+        path = tmp_path / "data.jsonl"
+        persist_dataset(ds, path)
+        back = load_dataset(path)
+        assert [(e.prefix, e.label) for e in back.train] == [(e.prefix, e.label) for e in ds.train]
+        assert [(e.prefix, e.label) for e in back.test] == [(e.prefix, e.label) for e in ds.test]
+        cfg = TrainConfig(hp=HyperParams(d=6), epochs=2, batch_size=16, seed=3)
+        for name, data in (("memory", ds), ("loaded", back)):
+            save_checkpoint(tmp_path / f"{name}.ckpt", train(data, cfg).checkpoint)
+        assert (tmp_path / "loaded.ckpt").read_bytes() == (tmp_path / "memory.ckpt").read_bytes()
 
     def test_vocab_count_mismatch_rejected(self, tmp_path):
         ds = self.make_ds()

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from casif import HyperParams, PrefixExample, backward, finite_difference_grad, forward, init_params
+from casif.errors import ConfigError
 from casif.model import relative_gradient_error, run_gradient_check
 
 
@@ -181,6 +183,10 @@ class TestHarness:
         combos = {(c.variant, c.loss_variant, c.gnn_steps) for c in cases}
         assert len(combos) == 8   # 2 variants x 2 losses x 2 step counts
         assert all(c.rel_error < 1e-4 for c in cases)
+
+    def test_negative_case_count_rejected(self):
+        with pytest.raises(ConfigError, match="num_cases must be >= 0, got -1"):
+            run_gradient_check(num_cases=-1)
 
     def test_sabotage_trips_the_check(self, monkeypatch):
         import casif.model

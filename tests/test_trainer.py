@@ -31,14 +31,11 @@ from reference_impl import ref_adam_step
 
 def toy_dataset(num_items=10, n_sessions=8, seed=0):
     rng = np.random.default_rng(seed)
-    examples = []
-    for _ in range(n_sessions):
-        items = [int(x) for x in rng.integers(0, num_items, size=int(rng.integers(2, 6)))]
-        for k in range(1, len(items)):
-            examples.append(PrefixExample(items[:k], items[k]))
+    sessions = [[int(x) for x in rng.integers(0, num_items, size=int(rng.integers(2, 6)))]
+                for _ in range(n_sessions)]
     vocab = ItemVocabulary({str(i): i for i in range(num_items)},
                            [str(i) for i in range(num_items)])
-    return ProcessedDataset(train=examples, test=[], vocab=vocab)
+    return ProcessedDataset(train_sessions=sessions, test_sessions=[], vocab=vocab)
 
 
 def small_cfg(**kw):
