@@ -12,8 +12,8 @@ actually does.
 
 import numpy as np
 
-from casif import HyperParams, PrefixExample, forward, init_params
-from casif.model import backward, finite_difference_grad, run_gradient_check
+from casif import HyperParams, PrefixExample, backward_batch, finite_difference_grad, forward_batch, init_params
+from casif.model import run_gradient_check
 
 cases = run_gradient_check(num_cases=16, d=6, num_items=12)
 print(f"{'variant':<10}{'loss':<12}{'steps':>6}{'batch':>6}{'len':>5}{'rel error':>14}")
@@ -31,8 +31,8 @@ hp = HyperParams(d=4)
 params = init_params(10, hp, seed=1)
 example = PrefixExample(prefix=[2, 7, 2], label=4)
 
-analytic = backward(forward(example, params, hp), params, hp)
-numeric = finite_difference_grad(example, params, hp, h=1e-5)
+analytic = backward_batch(forward_batch([example], params, hp), params, hp)
+numeric = finite_difference_grad([example], params, hp, h=1e-5)
 
 name = "att_score"
 diff = np.abs(analytic[name] - numeric[name]).max()

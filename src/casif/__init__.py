@@ -44,8 +44,10 @@ from .model import (
     HyperParams,
     ModelParams,
     backward,
+    backward_batch,
     finite_difference_grad,
     forward,
+    forward_batch,
     init_params,
     loss,
     run_gradient_check,

@@ -52,6 +52,8 @@ def _config(args) -> dict:
 def cmd_preprocess(args) -> int:
     cfg = _config(args)
     fmt = config_mod.log_format(cfg)
+    if cfg["test_window_ms"] < 0:
+        raise ConfigError(f"test_window_ms must be >= 0, got {cfg['test_window_ms']}")
     in_path = Path(args.input)
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
@@ -186,19 +188,14 @@ def cmd_evaluate(args) -> int:
         source = str(args.checkpoint)
 
     buckets = evaluation.BUCKETS if args.split_length else ("all",)
-    records = [r for r in report.records() if r["bucket"] in buckets]
     if args.out:
         provenance = _provenance("evaluate", cfg, dataset=str(args.dataset),
                                  source=source, split=args.split, ks=list(ks))
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"provenance": provenance, "metrics": records}, fh, indent=2, sort_keys=True)
+            json.dump({"provenance": provenance, "metrics": report.records(buckets)},
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    table = report.table()
-    if not args.split_length:
-        table = "\n".join(line for line in table.splitlines()
-                          if not line.startswith(("short", "long")))
-    print(table)
+    print(report.table(buckets))
     return EXIT_OK
 
 

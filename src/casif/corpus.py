@@ -311,42 +311,45 @@ def load_dataset(path) -> ProcessedDataset:
     header of another format or version, is a DataError naming the file
     and line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header_line = fh.readline()
+    with open(path, "rb") as fh:    # bytes, decoded line by line, so bad UTF-8 names its line
+        header = _json_line(fh.readline(), f"{path}: line 1")
+        if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+            raise DataError(f"{path}: not a {DATASET_FORMAT} file")
+        if header.get("version") != DATASET_VERSION:
+            raise DataError(f"{path}: unsupported version {header.get('version')!r}")
+        num_items = header.get("num_items")
+        if not isinstance(num_items, int) or isinstance(num_items, bool) or num_items < 1:
+            raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
+        splits: dict[str, list[list[int]]] = {"train": [], "test": []}
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            rec = _json_line(line, where)
             try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line 1: not a JSON header: {exc}") from exc
-            if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-                raise DataError(f"{path}: not a {DATASET_FORMAT} file")
-            if header.get("version") != DATASET_VERSION:
-                raise DataError(f"{path}: unsupported version {header.get('version')!r}")
-            num_items = header.get("num_items")
-            if not isinstance(num_items, int) or isinstance(num_items, bool) or num_items < 1:
-                raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
-            splits: dict[str, list[list[int]]] = {"train": [], "test": []}
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    items, split = rec["items"], rec["split"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-                if split not in ("train", "test"):
-                    raise DataError(f"{path}: line {lineno}: unknown split {split!r}")
-                if type(items) is not list or len(items) < 2 or not all(type(i) is int for i in items):
-                    raise DataError(f"{path}: line {lineno}: malformed record: "
-                                    "items must be a list of at least 2 integers")
-                if min(items) < 0 or max(items) >= num_items:
-                    raise DataError(f"{path}: line {lineno}: item index out of range [0, {num_items})")
-                splits[split].append(items)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+                items, split = rec["items"], rec["split"]
+            except (KeyError, TypeError) as exc:
+                raise DataError(f"{where}: malformed record: {exc}") from exc
+            if split not in ("train", "test"):
+                raise DataError(f"{where}: unknown split {split!r}")
+            if type(items) is not list or len(items) < 2 or not all(type(i) is int for i in items):
+                raise DataError(f"{where}: malformed record: items must be a list of at least 2 integers")
+            if min(items) < 0 or max(items) >= num_items:
+                raise DataError(f"{where}: item index out of range [0, {num_items})")
+            splits[split].append(items)
 
     vocab = load_vocab(f"{path}.vocab", num_items)
     return ProcessedDataset(splits["train"], splits["test"], vocab, header.get("provenance", {}))
+
+
+def _json_line(line: bytes, where: str):
+    """The JSON value on one line of a file; a DataError naming ``where`` if there is none."""
+    try:
+        return json.loads(line.decode("utf-8"))     # json.loads(bytes) would detect the encoding: slower
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{where}: malformed record: not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:     # RecursionError: nested too deeply to parse
+        raise DataError(f"{where}: malformed record: {exc}") from exc
 
 
 def load_vocab(path, num_items: int) -> ItemVocabulary:
@@ -355,28 +358,29 @@ def load_vocab(path, num_items: int) -> ItemVocabulary:
     Every line is a {"raw": str, "index": int} record; blank lines are
     skipped.  Any other content is a DataError naming the file and line.
     """
-    index_to_raw: list = [None] * num_items
+    raw_of: dict[int, str] = {}
     raw_to_index: dict[str, int] = {}
-    with open(path, "rb") as fh:    # bytes: json.loads decodes, so bad UTF-8 names its line
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
+            rec = _json_line(line, where)
             try:
-                rec = json.loads(line)
                 raw, index = rec["raw"], rec["index"]
-            except (ValueError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise DataError(f"{where}: malformed record: {exc}") from exc
             if not isinstance(raw, str) or not isinstance(index, int) or isinstance(index, bool):
                 raise DataError(f"{where}: malformed record: raw must be a string, index an integer")
             if not 0 <= index < num_items:
                 raise DataError(f"{where}: index {index} out of range [0, {num_items})")
-            if index_to_raw[index] is not None:
+            if index in raw_of:
                 raise DataError(f"{where}: index {index} listed twice")
             if raw in raw_to_index:
                 raise DataError(f"{where}: raw id {raw!r} listed twice")
-            index_to_raw[index] = raw
+            raw_of[index] = raw
             raw_to_index[raw] = index
-    if len(raw_to_index) != num_items:
-        raise DataError(f"{path}: {len(raw_to_index)} entries for {num_items} items")
-    return ItemVocabulary(raw_to_index, index_to_raw)
+    # every index is in range and listed once, so a full count lists them all
+    if len(raw_of) != num_items:
+        raise DataError(f"{path}: {len(raw_of)} entries for {num_items} items")
+    return ItemVocabulary(raw_to_index, [raw_of[i] for i in range(num_items)])

@@ -63,17 +63,17 @@ class MetricsReport:
         k = self.ks[0]
         return self.entries[(k, bucket)]["n"]
 
-    def records(self) -> list:
+    def records(self, buckets=BUCKETS) -> list:
         out = []
         for k in self.ks:
-            for bucket in BUCKETS:
+            for bucket in buckets:
                 e = self.entries[(k, bucket)]
                 out.append({"k": k, "bucket": bucket, "recall": e["recall"], "mrr": e["mrr"], "n": e["n"]})
         return out
 
-    def table(self) -> str:
+    def table(self, buckets=BUCKETS) -> str:
         lines = [f"{'bucket':<8}{'n':>8}" + "".join(f"{f'Recall@{k}':>12}{f'MRR@{k}':>12}" for k in self.ks)]
-        for bucket in BUCKETS:
+        for bucket in buckets:
             e0 = self.entries[(self.ks[0], bucket)]
             row = f"{bucket:<8}{e0['n']:>8}"
             for k in self.ks:

@@ -15,7 +15,10 @@ Graphs are built a batch at a time (``build_graph_batch``), zero-padded
 to the batch's largest node and position counts, the layout of SR-GNN
 (Wu et al., AAAI 2019).  A padded node has no edges and no position, and
 a padded position picks no node, so padding never reaches a real value.
-``build_session_graph`` is the batch of one, unpadded.
+``GraphBatch`` is the one graph type the model reads.
+``build_session_graph`` and its ``SessionGraph`` are row 0 of a batch of
+one, unpadded, kept for ``preprocess --dump-graphs`` and the benchmark's
+probes.
 """
 
 from __future__ import annotations
@@ -47,12 +50,6 @@ class GraphBatch:
     lengths: np.ndarray     # (B,) prefix lengths
     m_in: np.ndarray        # (B, q, q)
     m_out: np.ndarray       # (B, q, q)
-
-    def graph(self, b: int) -> SessionGraph:
-        """Example b's graph with the padding cut off."""
-        q, n = int(self.node_mask[b].sum()), int(self.lengths[b])
-        return SessionGraph(nodes=self.nodes[b, :q].tolist(), alias=self.alias[b, :n],
-                            m_in=self.m_in[b, :q, :q], m_out=self.m_out[b, :q, :q])
 
 
 def build_graph_batch(prefixes) -> GraphBatch:
@@ -87,8 +84,9 @@ def build_graph_batch(prefixes) -> GraphBatch:
 
 
 def build_session_graph(prefix) -> SessionGraph:
-    """Build the directed graph of one session prefix.
+    """Build the directed graph of one session prefix: row 0 of its batch of one.
 
     Raises ValueError on an empty prefix.
     """
-    return build_graph_batch([prefix]).graph(0)
+    g = build_graph_batch([prefix])     # one row, so nothing is padded
+    return SessionGraph(nodes=g.nodes[0].tolist(), alias=g.alias[0], m_in=g.m_in[0], m_out=g.m_out[0])

@@ -20,8 +20,10 @@ GEMM.  A padded node has no edges and no position and a padded position
 holds a zero latent, so padding adds exact zeros to every real value and
 gradient.  Training and evaluation cut each batch into sub-batches of
 similar prefix length (``sub_batches``) to bound the padding and the
-memory of one pass.  ``forward`` and ``backward`` of one example are the
-batch of one: ``ForwardTrace`` is row 0 of its ``BatchTrace``.
+memory of one pass.  ``forward_batch`` and ``backward_batch`` are the
+model's one API; ``forward`` and ``backward`` of one example are the
+batch of one, kept for ``casif predict`` and the benchmark's probes, and
+their ``ForwardTrace`` reads only the logits, probabilities and loss.
 
 Everything is float64 numpy.  ``backward_batch`` is exact reverse-mode
 differentiation of the batch's summed loss; ``finite_difference_grad``
@@ -283,33 +285,23 @@ class BatchTrace:
         return self._loss_pass[1]
 
 
-_ROW_FIELDS = frozenset(f.name for f in fields(BatchTrace)) - {"graphs", "labels", "loss_variant", "steps"}
-
-
+@dataclass
 class ForwardTrace:
-    """One example's trace: row 0 of the trace of a batch of one, which has no padding.
+    """One example's forward pass: its batch of one, which has no padding, and that
+    row's logits and probabilities (num_items,); ``loss`` is computed when first read."""
+    batch: BatchTrace
 
-    Every per-example BatchTrace field reads as that example's array
-    (``h_pos`` is (n, d), ``logits`` is (num_items,)); ``loss`` is computed
-    when first read.
-    """
+    @property
+    def logits(self) -> np.ndarray:
+        return self.batch.logits[0]
 
-    def __init__(self, batch: BatchTrace):
-        self.batch = batch
-
-    def __getattr__(self, name):
-        if name not in _ROW_FIELDS:
-            raise AttributeError(name)
-        value = getattr(self.batch, name)
-        return None if value is None else value[0]
+    @property
+    def probs(self) -> np.ndarray:
+        return self.batch.probs[0]
 
     @property
     def loss(self) -> float:
         return float(self.batch.losses[0])
-
-    @property
-    def graph(self) -> SessionGraph:
-        return self.batch.graphs.graph(0)
 
 
 def _sigmoid(x):
@@ -613,22 +605,21 @@ def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradi
 
 
 def finite_difference_grad(examples, params: ModelParams, hp: HyperParams, h: float = 1e-5) -> Gradients:
-    """Central-difference gradient of the summed loss of one example or a list of them.
+    """Central-difference gradient of the summed loss of a list of examples.
 
-    Independent check of ``backward``, coordinate by coordinate; cost is
-    two forward passes per parameter entry, so keep the model small.  The
-    differences are taken per example and then summed, so each carries
+    Independent check of ``backward_batch``, coordinate by coordinate; cost
+    is two forward passes per parameter entry, so keep the model small.
+    The differences are taken per example and then summed, so each carries
     the round-off of one example's loss, not of the larger sum.
     """
-    batch = list(examples) if isinstance(examples, (list, tuple)) else [examples]
     grads = zero_gradients(params)
     flat = params.flat      # every tensor, row-major in declared order
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        up = forward_batch(batch, params, hp).losses
+        up = forward_batch(examples, params, hp).losses
         flat[i] = orig - h
-        down = forward_batch(batch, params, hp).losses
+        down = forward_batch(examples, params, hp).losses
         flat[i] = orig
         grads.flat[i] = float((up - down).sum()) / (2.0 * h)
     return grads

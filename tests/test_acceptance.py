@@ -21,6 +21,7 @@ from casif import (
     build_vocab_and_reindex,
     evaluate_model,
     forward,
+    forward_batch,
     generate_sessions,
     init_params,
     load_checkpoint,
@@ -130,9 +131,9 @@ class TestAcceptance:
         rng = np.random.default_rng(42)
         emb = rng.normal(size=(6, 4))
         params = zero_params(6, 4, emb=emb)
-        trace = forward(PrefixExample([3, 0, 5, 0], 2), params, HyperParams(d=4))
-        halved = np.array_equal(trace.h_pos, 0.5 * emb[[3, 0, 5, 0]])
-        uniform = np.allclose(trace.probs, 1.0 / 6.0, atol=1e-15)
+        trace = forward_batch([PrefixExample([3, 0, 5, 0], 2)], params, HyperParams(d=4))
+        halved = np.array_equal(trace.h_pos[0], 0.5 * emb[[3, 0, 5, 0]])
+        uniform = np.allclose(trace.probs[0], 1.0 / 6.0, atol=1e-15)
 
         closed = True
         for m in (2, 4, 7, 50):
@@ -188,14 +189,14 @@ class TestAcceptance:
         # or session-mean conditioning, so corrupting those tensors changes nothing
         params = result_s.params
         example = PrefixExample(ds.test[0].prefix, ds.test[0].label)
-        base = forward(example, params, hp_s)
+        base = forward_batch([example], params, hp_s)
         doctored = params.copy()
         rng = np.random.default_rng(0)
         for name in ("att_item", "att_last", "att_mean", "att_bias"):
             getattr(doctored, name)[:] = rng.normal(size=getattr(doctored, name).shape)
-        again = forward(example, doctored, hp_s)
-        invariant = (np.array_equal(base.alpha, again.alpha)
-                     and np.array_equal(base.probs, again.probs))
+        again = forward_batch([example], doctored, hp_s)
+        invariant = (np.array_equal(base.alpha[0], again.alpha[0])
+                     and np.array_equal(base.probs[0], again.probs[0]))
         verdict(capsys, 7, "both variants train; simplified attention is context-free",
                 trains and invariant)
 

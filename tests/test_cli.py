@@ -135,6 +135,17 @@ class TestExitCodes:
         assert rc == 1
         assert "no_such_key" in capsys.readouterr().err
 
+    def test_deeply_nested_config_is_config_error(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 5000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "casif.cli", "--config", str(cfg), "preprocess",
+             "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert str(cfg) in proc.stderr and "nested too deeply" in proc.stderr
+
     def test_removed_threads_key_is_config_error(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"threads": 1}')
@@ -211,7 +222,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: num_cases must be >= 0, got {cases}\n"
 
-    @pytest.mark.parametrize("spoil", ["[0]", "[]", "version_1"])
+    @pytest.mark.parametrize("spoil", ["[0]", "[]", "version_1", "nested", "num_items_2**40"])
     def test_train_rejects_bad_dataset_without_traceback(self, pipeline, tmp_path, spoil):
         dataset = tmp_path / "dataset.jsonl"
         shutil.copy(pipeline["data"] / "dataset.jsonl.vocab", f"{dataset}.vocab")
@@ -220,6 +231,14 @@ class TestExitCodes:
             header = json.loads(lines[0])
             lines[0] = json.dumps({**header, "version": 1}) + "\n"
             message = "unsupported version 1"
+        elif spoil == "num_items_2**40":
+            # the vocabulary is checked against the count, never sized by it
+            header = json.loads(lines[0])
+            lines[0] = json.dumps({**header, "num_items": 2**40}) + "\n"
+            message = f"entries for {2**40} items"
+        elif spoil == "nested":
+            lines[1] = "[" * 5000 + "\n"
+            message = "line 2: malformed record"
         else:
             # the first record's item list becomes one item, or none
             lines[1] = re.sub(r"\[[^]]*\]", spoil, lines[1], count=1)
@@ -271,7 +290,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [("--delimiter", ""), ("--session-col", "-1"),
                                              ("--time-col", "-2"), ("--item-col", "-1"),
-                                             ("--max-session-len", "-3"), ("--min-session-len", "0")])
+                                             ("--max-session-len", "-3"), ("--min-session-len", "0"),
+                                             ("--test-window-ms", "-5")])
     def test_bad_log_and_length_settings_are_config_errors(self, pipeline, tmp_path, capsys,
                                                            flag, value):
         rc = main(["preprocess", "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d"),
@@ -322,10 +342,12 @@ def corrupt_vocab(lines, how):
         out.insert(1, b"this is not json\n")
     elif how == "not_utf8":
         out.insert(1, b'{"raw": "\xff", "index": 0}\n')
+    elif how == "nested":
+        out.insert(1, b"[" * 5000 + b"\n")
     return out
 
 
-VOCAB_DEFECTS = ["missing_index", "duplicate_index", "not_json", "not_utf8", "extra_item"]
+VOCAB_DEFECTS = ["missing_index", "duplicate_index", "not_json", "not_utf8", "extra_item", "nested"]
 
 
 class TestBadVocabulary:

@@ -293,6 +293,20 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"{path}: line 5: "):
             load_dataset(path)
 
+    @pytest.mark.parametrize("lineno, line, message", [
+        (1, b"[" * 5000, "malformed record"),
+        (5, b"[" * 5000, "malformed record"),
+        (5, b'{"items": [0, 1], "split": "\xfftrain"}', "malformed record: not UTF-8 text"),
+    ], ids=["nested_header", "nested_record", "not_utf8_record"])
+    def test_unparsable_line_rejected(self, tmp_path, lineno, line, message):
+        path = tmp_path / "data.jsonl"
+        persist_dataset(self.make_ds(), path)
+        lines = path.read_bytes().splitlines(keepends=True) + [b""]
+        lines[lineno - 1] = line + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match=f"{path}: line {lineno}: {message}"):
+            load_dataset(path)
+
     def test_training_on_the_loaded_dataset_is_unchanged(self, tmp_path):
         sessions = generate_sessions(SynthSpec(num_items=12, num_sessions=40, seed=2))
         raw = [Session([f"i{x}" for x in items], t) for t, items in enumerate(sessions)]
@@ -324,6 +338,7 @@ class TestPersistence:
         ("not_json", r"line 2: malformed record"),
         ("not_utf8", r"line 2: malformed record"),
         ("extra_item", r"line 4: index 3 out of range"),
+        ("nested", r"line 2: malformed record"),
     ])
     def test_bad_vocab_rejected(self, tmp_path, how, message):
         path = tmp_path / "data.jsonl"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from casif import HyperParams, PrefixExample, backward, finite_difference_grad, forward, init_params
+from casif import (HyperParams, PrefixExample, backward_batch, finite_difference_grad, forward, forward_batch,
+                   init_params)
 from casif.errors import ConfigError
 from casif.model import relative_gradient_error, run_gradient_check
 
@@ -23,9 +24,9 @@ class TestAnalyticAgainstFiniteDifferences:
                         example, params, hp = make_case(
                             seed=i, variant=variant, loss_variant=lv,
                             gnn_steps=steps, current_interest_input=cii)
-                        trace = forward(example, params, hp)
-                        analytic = backward(trace, params, hp)
-                        numeric = finite_difference_grad(example, params, hp)
+                        trace = forward_batch([example], params, hp)
+                        analytic = backward_batch(trace, params, hp)
+                        numeric = finite_difference_grad([example], params, hp)
                         err = relative_gradient_error(analytic, numeric)
                         assert err < 1e-4, f"{variant}/{lv}/steps={steps}/{cii}: {err}"
                         i += 1
@@ -33,26 +34,26 @@ class TestAnalyticAgainstFiniteDifferences:
     def test_single_item_prefix(self):
         # degenerate graph with no edges still differentiates cleanly
         example, params, hp = make_case(prefix=(3,), label=2)
-        analytic = backward(forward(example, params, hp), params, hp)
-        numeric = finite_difference_grad(example, params, hp)
+        analytic = backward_batch(forward_batch([example], params, hp), params, hp)
+        numeric = finite_difference_grad([example], params, hp)
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
     def test_large_logit_gap(self):
         # a non-label item outscores the rest by 40, so its 1 - p rounds to 0
         for variant in ("casif", "casif_s"):
             example, params, hp = make_case(seed=3, variant=variant)
-            blend = forward(example, params, hp).blend
+            blend = forward_batch([example], params, hp).blend[0]
             params.emb[5] += 40.0 * blend / (blend @ blend)
-            trace = forward(example, params, hp)
-            assert trace.probs[5] == 1.0 and np.isfinite(trace.loss)
-            analytic = backward(trace, params, hp)
-            numeric = finite_difference_grad(example, params, hp)
+            trace = forward_batch([example], params, hp)
+            assert trace.probs[0, 5] == 1.0 and np.isfinite(trace.losses[0])
+            analytic = backward_batch(trace, params, hp)
+            numeric = finite_difference_grad([example], params, hp)
             assert relative_gradient_error(analytic, numeric) < 1e-4, variant
 
     def test_gradient_shapes_and_determinism(self):
         example, params, hp = make_case()
-        g1 = backward(forward(example, params, hp), params, hp)
-        g2 = backward(forward(example, params, hp), params, hp)
+        g1 = backward_batch(forward_batch([example], params, hp), params, hp)
+        g2 = backward_batch(forward_batch([example], params, hp), params, hp)
         assert set(g1) == set(dict(params.tensors()))
         for name, arr in params.tensors():
             assert g1[name].shape == arr.shape
@@ -62,7 +63,7 @@ class TestAnalyticAgainstFiniteDifferences:
 class TestFiniteDifferenceOracleItself:
     def test_matches_manual_central_difference(self):
         example, params, hp = make_case(seed=4)
-        numeric = finite_difference_grad(example, params, hp, h=1e-5)
+        numeric = finite_difference_grad([example], params, hp, h=1e-5)
         # recompute a handful of coordinates with inline arithmetic
         rng = np.random.default_rng(0)
         for name in ("emb", "att_score", "mlp_general_w"):
@@ -87,17 +88,17 @@ class TestFiniteDifferenceOracleItself:
     def test_perturbations_restored(self):
         example, params, hp = make_case(seed=5)
         before = {name: arr.copy() for name, arr in params.tensors()}
-        finite_difference_grad(example, params, hp)
+        finite_difference_grad([example], params, hp)
         for name, arr in params.tensors():
             assert np.array_equal(arr, before[name])
 
     def test_truncation_error_shrinks_quadratically(self):
         # central differences: error ~ h^2, so doubling h scales it ~4x
         example, params, hp = make_case(seed=6)
-        analytic = backward(forward(example, params, hp), params, hp)
+        analytic = backward_batch(forward_batch([example], params, hp), params, hp)
 
         def max_err(h):
-            numeric = finite_difference_grad(example, params, hp, h=h)
+            numeric = finite_difference_grad([example], params, hp, h=h)
             return max(np.abs(analytic[n] - numeric[n]).max() for n in numeric)
 
         coarse, fine = max_err(2e-3), max_err(1e-3)
@@ -109,10 +110,10 @@ class TestGradientStructure:
         # rows never visited by the graph feel only the logit path, so their
         # gradient must be an exact scalar multiple of the blend vector
         example, params, hp = make_case(seed=7, prefix=(1, 4, 2), label=0, m=12)
-        trace = forward(example, params, hp)
-        grads = backward(trace, params, hp)
+        trace = forward_batch([example], params, hp)
+        grads = backward_batch(trace, params, hp)
         visited = set(example.prefix)
-        blend = trace.blend
+        blend = trace.blend[0]
         unit = blend / np.linalg.norm(blend)
         for i in range(12):
             row = grads["emb"][i]
@@ -123,9 +124,9 @@ class TestGradientStructure:
 
     def test_visited_rows_accumulate_both_paths(self):
         example, params, hp = make_case(seed=8, prefix=(1, 4, 2), label=0, m=12)
-        trace = forward(example, params, hp)
-        grads = backward(trace, params, hp)
-        blend = trace.blend
+        trace = forward_batch([example], params, hp)
+        grads = backward_batch(trace, params, hp)
+        blend = trace.blend[0]
         unit = blend / np.linalg.norm(blend)
         off_axis = []
         for i in set(example.prefix):
@@ -136,8 +137,8 @@ class TestGradientStructure:
 
     def test_simplified_variant_leaves_unused_tensors_untouched(self):
         example, params, hp = make_case(seed=9, variant="casif_s")
-        grads = backward(forward(example, params, hp), params, hp)
-        numeric = finite_difference_grad(example, params, hp)
+        grads = backward_batch(forward_batch([example], params, hp), params, hp)
+        numeric = finite_difference_grad([example], params, hp)
         for name in ("att_item", "att_last", "att_mean", "att_bias",
                      "mlp_general_w", "mlp_general_b", "mlp_current_w", "mlp_current_b"):
             assert np.all(grads[name] == 0.0)
@@ -148,8 +149,8 @@ class TestWithL2Penalty:
     def test_extended_objective_still_differentiates(self):
         lam = 1e-3   # large enough to matter at fd resolution
         example, params, hp = make_case(seed=10)
-        trace = forward(example, params, hp)
-        grads = backward(trace, params, hp)
+        trace = forward_batch([example], params, hp)
+        grads = backward_batch(trace, params, hp)
         extended = {name: grads[name] + 2.0 * lam * arr for name, arr in params.tensors()}
 
         h = 1e-5

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from casif import HyperParams, PrefixExample, backward, evaluate_model, forward, init_params, label_rank
+from casif import HyperParams, PrefixExample, evaluate_model, forward, init_params, label_rank
 from casif.evaluation import _label_ranks
 from casif.model import (
     LOSS_VARIANTS,
@@ -43,7 +43,7 @@ def test_batched_gradient_is_the_sum_of_per_example_gradients(variant, loss_vari
     params, hp = case(variant, loss_variant, steps, seed=steps)
     examples = mixed_examples(seed=len(variant) + steps)
     # put RIVAL 40 logits above the rest for the first example: its 1 - p rounds to 0
-    blend = forward(examples[0], params, hp).blend
+    blend = forward_batch(examples[:1], params, hp).blend[0]
     params.emb[RIVAL] += 40.0 * blend / (blend @ blend)
     trace = forward_batch(examples, params, hp)
     assert trace.probs[0, RIVAL] == 1.0
@@ -51,7 +51,7 @@ def test_batched_gradient_is_the_sum_of_per_example_gradients(variant, loss_vari
     batched = backward_batch(trace, params, hp)
     summed = zero_gradients(params)
     for ex in examples:
-        for name, g in backward(forward(ex, params, hp), params, hp).items():
+        for name, g in backward_batch(forward_batch([ex], params, hp), params, hp).items():
             summed[name] += g
     for name, g in summed.items():
         assert np.isfinite(batched[name]).all()

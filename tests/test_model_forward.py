@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from casif import HyperParams, ModelParams, PrefixExample, forward, init_params, loss
+from casif import HyperParams, ModelParams, PrefixExample, forward, forward_batch, init_params, loss
 from casif.model import (
     _loss_and_grad,
     _softmax_with_log,
     _tensor_shapes,
     attention_global_interest,
     casif_s_attention,
-    ggnn_forward,
     score_and_predict,
     session_mean_pool,
 )
-from casif.graph import build_session_graph
 from reference_impl import ref_eq13, ref_forward
 
 
@@ -43,8 +41,7 @@ class TestZeroWeightAnchors:
         rng = np.random.default_rng(42)
         emb = rng.normal(size=(6, 4))
         params = zero_params(6, 4, emb=emb)
-        graph = build_session_graph([3, 0, 5, 0])
-        h = ggnn_forward(graph, params, HyperParams(d=4))
+        h = forward_batch([PrefixExample([3, 0, 5, 0], 0)], params, HyperParams(d=4)).h_nodes[0]
         # update gate sigma(0)=1/2, candidate tanh(0)=0: h = s/2 exactly
         assert np.array_equal(h, 0.5 * emb[[3, 0, 5]])
 
@@ -52,8 +49,7 @@ class TestZeroWeightAnchors:
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(5, 3))
         params = zero_params(5, 3, emb=emb)
-        graph = build_session_graph([1, 2])
-        h = ggnn_forward(graph, params, HyperParams(d=3, gnn_steps=3))
+        h = forward_batch([PrefixExample([1, 2], 0)], params, HyperParams(d=3, gnn_steps=3)).h_nodes[0]
         assert np.allclose(h, emb[[1, 2]] / 8.0, atol=1e-15)
 
     def test_uniform_prediction(self):
@@ -121,15 +117,15 @@ class TestScalarTrace:
         p1 = math.exp(z1) / (math.exp(z0) + math.exp(z1))
         expect_loss = -math.log(p1) - math.log(1.0 - (1.0 - p1))
 
-        trace = forward(PrefixExample([0, 1], 1), p, HyperParams(d=1))
-        assert abs(trace.h_pos[0, 0] - h0) < 1e-12
-        assert abs(trace.h_pos[1, 0] - h1) < 1e-12
-        assert abs(trace.alpha[0] - a0) < 1e-12
-        assert abs(trace.alpha[1] - a1) < 1e-12
-        assert abs(trace.att_context[0] - context) < 1e-12
-        assert abs(trace.blend[0] - blend) < 1e-12
-        assert abs(trace.probs[1] - p1) < 1e-12
-        assert abs(trace.loss - expect_loss) < 1e-12
+        trace = forward_batch([PrefixExample([0, 1], 1)], p, HyperParams(d=1))
+        assert abs(trace.h_pos[0, 0, 0] - h0) < 1e-12
+        assert abs(trace.h_pos[0, 1, 0] - h1) < 1e-12
+        assert abs(trace.alpha[0, 0] - a0) < 1e-12
+        assert abs(trace.alpha[0, 1] - a1) < 1e-12
+        assert abs(trace.att_context[0, 0] - context) < 1e-12
+        assert abs(trace.blend[0, 0] - blend) < 1e-12
+        assert abs(trace.probs[0, 1] - p1) < 1e-12
+        assert abs(trace.losses[0] - expect_loss) < 1e-12
 
 
 class TestAgainstLoopReference:
@@ -151,14 +147,14 @@ class TestAgainstLoopReference:
     def test_forward_matches_reference(self):
         for hp, m, prefix, label, i in self.cases():
             params = init_params(m, hp, seed=100 + i)
-            trace = forward(PrefixExample(prefix, label), params, hp)
+            trace = forward_batch([PrefixExample(prefix, label)], params, hp)
             ref_loss, ref_probs, ref_logits, ref_alpha = ref_forward(
                 prefix, label, params, gnn_steps=hp.gnn_steps, variant=hp.variant,
                 loss_variant=hp.loss_variant, current_interest_input=hp.current_interest_input)
-            assert abs(trace.loss - ref_loss) < 1e-12
-            assert np.abs(trace.probs - ref_probs).max() < 1e-12
-            assert np.abs(trace.logits - ref_logits).max() < 1e-12
-            assert np.abs(trace.alpha - ref_alpha).max() < 1e-12
+            assert abs(trace.losses[0] - ref_loss) < 1e-12
+            assert np.abs(trace.probs[0] - ref_probs).max() < 1e-12
+            assert np.abs(trace.logits[0] - ref_logits).max() < 1e-12
+            assert np.abs(trace.alpha[0] - ref_alpha).max() < 1e-12
 
 
 class TestForwardProperties:
@@ -171,16 +167,16 @@ class TestForwardProperties:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             prefix = [int(x) for x in rng.integers(0, 9, size=int(rng.integers(1, 8)))]
-            trace = forward(PrefixExample(prefix, 0), params, hp)
-            assert abs(trace.probs.sum() - 1.0) < 1e-12
-            assert (trace.probs > 0.0).all()
-            assert np.allclose(np.log(trace.probs), trace.log_probs, atol=1e-12)
+            trace = forward_batch([PrefixExample(prefix, 0)], params, hp)
+            assert abs(trace.probs[0].sum() - 1.0) < 1e-12
+            assert (trace.probs[0] > 0.0).all()
+            assert np.allclose(np.log(trace.probs[0]), trace.log_probs[0], atol=1e-12)
 
     def test_eq13_at_least_cross_entropy(self):
         params, hp = self.make()
-        trace = forward(PrefixExample([2, 5, 1], 4), params, hp)
-        ce = loss(trace.probs, 4, variant="softmax_ce", log_probs=trace.log_probs)
-        assert trace.loss >= ce
+        trace = forward_batch([PrefixExample([2, 5, 1], 4)], params, hp)
+        ce = loss(trace.probs[0], 4, variant="softmax_ce", log_probs=trace.log_probs[0])
+        assert trace.losses[0] >= ce
 
     def test_attention_coefficients_bounded(self):
         # gate is in (0,1), so |alpha| < sum |att_score|
@@ -189,8 +185,8 @@ class TestForwardProperties:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             prefix = [int(x) for x in rng.integers(0, 9, size=6)]
-            trace = forward(PrefixExample(prefix, 0), params, hp)
-            assert np.abs(trace.alpha).max() < bound
+            trace = forward_batch([PrefixExample(prefix, 0)], params, hp)
+            assert np.abs(trace.alpha[0]).max() < bound
 
     def test_current_interest_switch_changes_output(self):
         params, hp_h = self.make()
@@ -201,8 +197,8 @@ class TestForwardProperties:
 
     def test_repeated_items_share_node_latents(self):
         params, hp = self.make()
-        trace = forward(PrefixExample([4, 7, 4], 0), params, hp)
-        assert np.array_equal(trace.h_pos[0], trace.h_pos[2])
+        trace = forward_batch([PrefixExample([4, 7, 4], 0)], params, hp)
+        assert np.array_equal(trace.h_pos[0, 0], trace.h_pos[0, 2])
 
     def test_bad_examples_rejected(self):
         params, hp = self.make(m=5)
@@ -216,19 +212,19 @@ class TestForwardProperties:
     def test_simplified_attention_ignores_session_context(self):
         # conditioning tensors may be arbitrarily corrupted: outputs identical
         params, hp = self.make(variant="casif_s", seed=9)
-        base = forward(PrefixExample([1, 2, 3, 2], 0), params, hp)
+        base = forward_batch([PrefixExample([1, 2, 3, 2], 0)], params, hp)
         doctored = params.copy()
         rng = np.random.default_rng(0)
         for name in ("att_item", "att_last", "att_mean", "att_bias"):
             getattr(doctored, name)[:] = rng.normal(size=getattr(doctored, name).shape)
-        again = forward(PrefixExample([1, 2, 3, 2], 0), doctored, hp)
-        assert np.array_equal(base.alpha, again.alpha)
-        assert np.array_equal(base.probs, again.probs)
+        again = forward_batch([PrefixExample([1, 2, 3, 2], 0)], doctored, hp)
+        assert np.array_equal(base.alpha[0], again.alpha[0])
+        assert np.array_equal(base.probs[0], again.probs[0])
 
     def test_simplified_scores_context_directly(self):
         params, hp = self.make(variant="casif_s", seed=5)
-        trace = forward(PrefixExample([0, 3, 6], 2), params, hp)
-        assert np.array_equal(trace.blend, trace.att_context)
+        trace = forward_batch([PrefixExample([0, 3, 6], 2)], params, hp)
+        assert np.array_equal(trace.blend[0], trace.att_context[0])
         assert trace.general_state is None and trace.current_state is None
 
 
