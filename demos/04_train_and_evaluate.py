@@ -15,13 +15,10 @@ from casif import (
     HyperParams,
     SynthSpec,
     TrainConfig,
-    build_vocab_and_reindex,
     evaluate_model,
     generate_sessions,
-    parse_click_log,
     pop_baseline,
-    sessionize_and_filter,
-    time_split,
+    preprocess,
     train,
     write_click_log,
 )
@@ -34,10 +31,9 @@ buf = io.StringIO()
 write_click_log(generate_sessions(spec), buf)
 buf.seek(0)
 
-sessions = sessionize_and_filter(parse_click_log(buf).events, min_item_support=5)
-split_ts = max(s.start_time for s in sessions) - 86_400_000 + 1  # last day tests
-train_sessions, test_sessions = time_split(sessions, split_ts)
-ds = build_vocab_and_reindex(train_sessions, test_sessions, {})
+# the default settings: items clicked at least 5 times, sessions of 2 or
+# more clicks, and the sessions that start in the last day test
+ds, _ = preprocess(buf)
 print(f"{len(ds.train)} training examples, {len(ds.test)} test examples, "
       f"{ds.num_items} items")
 

@@ -10,12 +10,13 @@ click logs; `cli` ties it together as a command-line tool.
 
 import ctypes
 
-from .config import DEFAULTS, effective_config, hyper_params, train_config
+from .config import DEFAULTS, effective_config, hyper_params, preprocess_config, train_config
 from .corpus import (
     ClickEvent,
     ItemVocabulary,
     LogFormat,
     PrefixExample,
+    PreprocessConfig,
     ProcessedDataset,
     Session,
     build_vocab_and_reindex,
@@ -25,6 +26,7 @@ from .corpus import (
     parse_click_log,
     parse_timestamp_ms,
     persist_dataset,
+    preprocess,
     sessionize_and_filter,
     take_recent_fraction,
     time_split,

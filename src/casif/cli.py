@@ -52,33 +52,18 @@ def _config(args) -> dict:
 def cmd_preprocess(args) -> int:
     cfg = _config(args)
     fmt = config_mod.log_format(cfg)
-    if cfg["test_window_ms"] < 0:
-        raise ConfigError(f"test_window_ms must be >= 0, got {cfg['test_window_ms']}")
+    settings = config_mod.preprocess_config(cfg)
     in_path = Path(args.input)
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
 
-    try:
-        with open(in_path, "r", encoding="utf-8") as fh:
-            parsed = corpus.parse_click_log(fh, fmt, strict=cfg["strict_parse"])
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{in_path}: not UTF-8 text: {exc}") from exc
-    sessions = corpus.sessionize_and_filter(
-        parsed.events,
-        min_item_support=cfg["min_item_support"],
-        min_session_len=cfg["min_session_len"],
-        max_session_len=cfg["max_session_len"],
-    )
-    if not sessions:
-        raise DataError("no sessions survive filtering")
-    split_ts = cfg["split_ts"]
-    if split_ts is None:
-        split_ts = max(s.start_time for s in sessions) - cfg["test_window_ms"] + 1
-    train_sessions, test_sessions = corpus.time_split(sessions, split_ts)
-    train_sessions = corpus.take_recent_fraction(train_sessions, cfg["fraction"])
-
-    provenance = _provenance("preprocess", cfg, input=str(in_path), split_ts=split_ts)
-    ds = corpus.build_vocab_and_reindex(train_sessions, test_sessions, provenance)
+    provenance = _provenance("preprocess", cfg, input=str(in_path))
+    # surrogateescape: a line that is not UTF-8 is one malformed line, not an aborted read
+    with open(in_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            ds, skipped = corpus.preprocess(fh, fmt, settings, provenance)
+        except DataError as exc:
+            raise DataError(f"{in_path}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.jsonl"
@@ -94,10 +79,10 @@ def cmd_preprocess(args) -> int:
         "average_length": clicks / len(kept),
         "train_examples": len(ds.train),
         "test_examples": len(ds.test),
-        "skipped_lines": parsed.skipped,
+        "skipped_lines": skipped,
     }
     with open(out_dir / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump({"provenance": provenance, "stats": stats}, fh, indent=2, sort_keys=True)
+        json.dump({"provenance": ds.provenance, "stats": stats}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     if args.dump_graphs:

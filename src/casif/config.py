@@ -1,13 +1,13 @@
 """Config file handling: documented keys, strict validation, flag overrides.
 
 The config file is JSON with the keys below (all optional).  The fields
-of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``) and
-``LogFormat`` (raw log layout) declare their keys: a field's name is the
-key and its default the key's default.  Only the keys that configure
-functions, not a dataclass, are written out here.  CLI flags, whose
-``dest`` is the key, override file values.  Unknown keys are rejected so
-a typo cannot silently fall back to a default.  Every command echoes the
-effective configuration into its outputs' provenance blocks.
+of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``),
+``LogFormat`` (raw log layout) and ``PreprocessConfig`` (the settings of
+``corpus.preprocess``) declare every key: a field's name is the key and
+its default the key's default.  CLI flags, whose ``dest`` is the key,
+override file values.  Unknown keys are rejected so a typo cannot
+silently fall back to a default.  Every command echoes the effective
+configuration into its outputs' provenance blocks.
 """
 
 from __future__ import annotations
@@ -16,27 +16,17 @@ import json
 import os
 from dataclasses import MISSING, fields
 
-from .corpus import LogFormat
+from .corpus import LogFormat, PreprocessConfig
 from .errors import ConfigError
 from .model import HyperParams
 from .trainer import TrainConfig
 
 ENV_CONFIG = "CASIF_CONFIG"
 
-_DECLARED = (HyperParams, TrainConfig, LogFormat)   # model, training, raw log layout
+_DECLARED = (HyperParams, TrainConfig, LogFormat, PreprocessConfig)   # model, training, log layout, preprocessing
 
-DEFAULTS = {
-    # TrainConfig.hp has a default factory, not a default, so it is no key
-    **{f.name: f.default for cls in _DECLARED for f in fields(cls) if f.default is not MISSING},
-    "strict_parse": False,
-    # preprocessing
-    "min_item_support": 5,
-    "min_session_len": 2,
-    "max_session_len": 50,
-    "test_window_ms": 86_400_000,   # hold out the trailing day by default
-    "split_ts": None,               # absolute override of the time split
-    "fraction": "1",                # most-recent fraction of train sessions kept
-}
+# TrainConfig.hp has a default factory, not a default, so it is no key
+DEFAULTS = {f.name: f.default for cls in _DECLARED for f in fields(cls) if f.default is not MISSING}
 
 # each key takes its default's type (a float key also takes an int), bar two wider ones
 _TYPES = {key: (int, float) if isinstance(value, float) else type(value) for key, value in DEFAULTS.items()}
@@ -106,3 +96,7 @@ def train_config(cfg: dict) -> TrainConfig:
 
 def log_format(cfg: dict) -> LogFormat:
     return _from_config(LogFormat, cfg)
+
+
+def preprocess_config(cfg: dict) -> PreprocessConfig:
+    return _from_config(PreprocessConfig, cfg)

@@ -1,8 +1,9 @@
 """Click-log ingestion: parsing, sessionization, filtering, splitting.
 
-The pipeline turns a raw delimited click log into a ProcessedDataset:
+``preprocess`` turns a raw delimited click log into a ProcessedDataset:
 integer-indexed sessions over a contiguous item vocabulary, and the
-(prefix, label) examples expanded from them:
+(prefix, label) examples expanded from them.  It runs these stages with
+the settings of one PreprocessConfig:
 
     parse_click_log -> sessionize_and_filter -> time_split
         -> take_recent_fraction (train side) -> build_vocab_and_reindex
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import calendar
 import json
-import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -109,6 +110,23 @@ class LogFormat:
 
 
 @dataclass
+class PreprocessConfig:
+    """Settings of the preprocessing recipe (see preprocess)."""
+    strict_parse: bool = False          # abort on the first malformed line instead of skipping it
+    min_item_support: int = 5
+    min_session_len: int = 2
+    max_session_len: int = 50
+    test_window_ms: int = 86_400_000    # hold out the trailing day by default
+    split_ts: int | None = None         # absolute override of the time split
+    fraction: str | int | float = "1"   # most-recent fraction of train sessions kept
+
+    def __post_init__(self):
+        if self.test_window_ms < 0:
+            raise ConfigError(f"test_window_ms must be >= 0, got {self.test_window_ms}")
+        _as_fraction(self.fraction)
+
+
+@dataclass
 class ParsedLog:
     events: list[ClickEvent]
     skipped: int = 0
@@ -135,11 +153,16 @@ def parse_timestamp_ms(text: str) -> int:
     return ms
 
 
+# the lone surrogates that errors="surrogateescape" decodes bytes that are not UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def parse_click_log(stream, fmt: LogFormat | None = None, strict: bool = False) -> ParsedLog:
     """Parse delimited click-log lines into events, in file order.
 
     Malformed lines are skipped and counted; with strict=True the first
-    one aborts with its line number.
+    one aborts with its line number.  A line holding bytes that are not
+    UTF-8, read with errors="surrogateescape", is malformed.
     """
     fmt = fmt or LogFormat()
     need = max(fmt.session_col, fmt.time_col, fmt.item_col) + 1
@@ -151,8 +174,10 @@ def parse_click_log(stream, fmt: LogFormat | None = None, strict: bool = False) 
         line = line.rstrip("\r\n")
         if not line:
             continue
-        parts = line.split(fmt.delimiter)
         try:
+            if not line.isascii() and _UNDECODED.search(line):
+                raise ValueError("not UTF-8 text")
+            parts = line.split(fmt.delimiter)
             if len(parts) < need:
                 raise ValueError(f"expected at least {need} fields, got {len(parts)}")
             session_id = parts[fmt.session_col].strip()
@@ -173,9 +198,9 @@ def parse_click_log(stream, fmt: LogFormat | None = None, strict: bool = False) 
 
 def sessionize_and_filter(
     events,
-    min_item_support: int = 5,
-    min_session_len: int = 2,
-    max_session_len: int = 50,
+    min_item_support: int = PreprocessConfig.min_item_support,
+    min_session_len: int = PreprocessConfig.min_session_len,
+    max_session_len: int = PreprocessConfig.max_session_len,
 ) -> list[Session]:
     """Group events into sessions and apply the support/length filters.
 
@@ -225,29 +250,23 @@ def time_split(sessions, split_ts: int):
 def take_recent_fraction(train, fraction) -> list[Session]:
     """Keep the last ceil(fraction * n) sessions of a start-time-sorted list."""
     frac = _as_fraction(fraction)
-    if frac <= 0 or frac > 1:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     n = len(train)
     count = -(-n * frac.numerator // frac.denominator)  # exact ceiling
     return list(train[n - count:])
 
 
 def _as_fraction(fraction) -> Fraction:
-    if isinstance(fraction, Fraction):
-        return fraction
-    if isinstance(fraction, int):
-        return Fraction(fraction)
-    if isinstance(fraction, str):
-        try:
-            return Fraction(fraction)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot interpret fraction {fraction!r}") from exc
+    """A Fraction, int, float or string such as "1/64" as an exact fraction in (0, 1]."""
+    try:
+        frac = Fraction(fraction)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"cannot interpret fraction {fraction!r}") from exc
     if isinstance(fraction, float):
-        if not math.isfinite(fraction):
-            raise ConfigError(f"fraction must be finite, got {fraction}")
         # floats arrive from config files; snap away binary noise like 0.1*10 -> 1.0000000000000002
-        return Fraction(fraction).limit_denominator(10**9)
-    raise ConfigError(f"cannot interpret fraction {fraction!r}")
+        frac = frac.limit_denominator(10**9)
+    if not 0 < frac <= 1:
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    return frac
 
 
 def expand_prefixes(session: Session) -> list[PrefixExample]:
@@ -277,6 +296,29 @@ def build_vocab_and_reindex(train_sessions, test_sessions, provenance: dict | No
         if len(items) >= 2:
             test.append(items)
     return ProcessedDataset(train, test, vocab, provenance or {})
+
+
+def preprocess(lines, fmt: LogFormat | None = None, settings: PreprocessConfig | None = None,
+               provenance: dict | None = None) -> tuple[ProcessedDataset, int]:
+    """The preprocessing recipe: click-log lines to a dataset, and the count of skipped lines.
+
+    Sessions starting at or after split_ts test; without one, those starting
+    within test_window_ms of the latest start (the latest included) test.
+    The dataset's provenance is ``provenance`` plus the split_ts used.
+    """
+    settings = settings or PreprocessConfig()
+    parsed = parse_click_log(lines, fmt, strict=settings.strict_parse)
+    sessions = sessionize_and_filter(parsed.events, settings.min_item_support,
+                                     settings.min_session_len, settings.max_session_len)
+    if not sessions:
+        raise DataError("no sessions survive filtering")
+    split_ts = settings.split_ts
+    if split_ts is None:
+        split_ts = max(s.start_time for s in sessions) - settings.test_window_ms + 1
+    train, test = time_split(sessions, split_ts)
+    train = take_recent_fraction(train, settings.fraction)
+    ds = build_vocab_and_reindex(train, test, {**(provenance or {}), "split_ts": split_ts})
+    return ds, parsed.skipped
 
 
 def persist_dataset(ds: ProcessedDataset, path) -> None:

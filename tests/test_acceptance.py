@@ -27,6 +27,7 @@ from casif import (
     load_checkpoint,
     parse_click_log,
     pop_baseline,
+    preprocess,
     save_checkpoint,
     sessionize_and_filter,
     take_recent_fraction,
@@ -61,10 +62,7 @@ def markov_run():
     buf = io.StringIO()
     write_click_log(generate_sessions(spec), buf)
     buf.seek(0)
-    kept = sessionize_and_filter(parse_click_log(buf).events)
-    split_ts = max(s.start_time for s in kept) - 86_400_000 + 1
-    train_s, test_s = time_split(kept, split_ts)
-    ds = build_vocab_and_reindex(train_s, test_s, {})
+    ds, _ = preprocess(buf)
 
     hp = HyperParams(d=32)
     start = time.monotonic()

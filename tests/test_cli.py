@@ -45,7 +45,8 @@ class TestPipeline:
     def test_train_wrote_checkpoint_and_log(self, pipeline):
         ckpt = pipeline["ckpt"]
         assert ckpt.exists() and ckpt.stat().st_size > 0
-        lines = [json.loads(l) for l in open(f"{ckpt}.log.jsonl")]
+        with open(f"{ckpt}.log.jsonl") as fh:
+            lines = [json.loads(l) for l in fh]
         assert lines[0]["provenance"]["command"] == "train"
         assert [rec["epoch"] for rec in lines[1:]] == [0, 1]
 
@@ -226,7 +227,8 @@ class TestExitCodes:
     def test_train_rejects_bad_dataset_without_traceback(self, pipeline, tmp_path, spoil):
         dataset = tmp_path / "dataset.jsonl"
         shutil.copy(pipeline["data"] / "dataset.jsonl.vocab", f"{dataset}.vocab")
-        lines = open(pipeline["data"] / "dataset.jsonl").readlines()
+        with open(pipeline["data"] / "dataset.jsonl") as fh:
+            lines = fh.readlines()
         if spoil == "version_1":
             header = json.loads(lines[0])
             lines[0] = json.dumps({**header, "version": 1}) + "\n"
@@ -262,9 +264,11 @@ class TestExitCodes:
         assert main(["preprocess", "--input", str(raw), "--out-dir", str(data),
                      "--min-item-support", "1", "--min-session-len", "1",
                      "--split-ts", "5000"]) == 0
-        vocab = [json.loads(line)["raw"] for line in open(data / "dataset.jsonl.vocab")]
+        with open(data / "dataset.jsonl.vocab") as fh:
+            vocab = [json.loads(line)["raw"] for line in fh]
         assert vocab == ["x", "a", "b"]
-        records = [json.loads(line) for line in open(data / "dataset.jsonl")][1:]
+        with open(data / "dataset.jsonl") as fh:
+            records = [json.loads(line) for line in fh][1:]
         assert records == [{"items": [1, 2], "split": "train"}, {"items": [2, 1], "split": "train"},
                            {"items": [1, 0], "split": "test"}]
         stats = json.loads((data / "stats.json").read_text())["stats"]
@@ -287,6 +291,17 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and repr(fraction) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fraction", ["abc", "2"])
+    def test_settings_rejected_before_the_log_is_read(self, tmp_path, capsys, fraction):
+        raw = tmp_path / "bad.csv"
+        raw.write_text("s1,1000,a\nbroken\n")
+        rc = main(["preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d"),
+                   "--strict", "--fraction", fraction])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "fraction" in err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("flag, value", [("--delimiter", ""), ("--session-col", "-1"),
                                              ("--time-col", "-2"), ("--item-col", "-1"),
@@ -358,7 +373,8 @@ class TestBadVocabulary:
         def make(how):
             dataset = tmp_path / "dataset.jsonl"
             shutil.copy(pipeline["data"] / "dataset.jsonl", dataset)
-            lines = open(pipeline["data"] / "dataset.jsonl.vocab").readlines()
+            with open(pipeline["data"] / "dataset.jsonl.vocab") as fh:
+                lines = fh.readlines()
             with open(f"{dataset}.vocab", "wb") as fh:
                 fh.writelines(corrupt_vocab(lines, how))
             return dataset
@@ -410,7 +426,26 @@ class TestNotUtf8:
 
     def test_click_log(self, pipeline, tmp_path):
         raw = self.spoil(pipeline["raw"], tmp_path / "raw.csv", b",item", b",\xffitem")
-        self.check(self.run("preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d")), 2, raw)
+        proc = self.run("preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d"), "--strict")
+        self.check(proc, 2, raw)
+        data = raw.read_bytes()
+        lineno = data[:data.index(b"\xff")].count(b"\n") + 1
+        assert f"line {lineno}: not UTF-8 text" in proc.stderr
+
+    def test_click_log_lenient_skips_the_line(self, pipeline, tmp_path):
+        raw = self.spoil(pipeline["raw"], tmp_path / "raw.csv", b",item", b",\xffitem")
+        data = raw.read_bytes()
+        start = data.rfind(b"\n", 0, data.index(b"\xff")) + 1
+        without = tmp_path / "without.csv"
+        without.write_bytes(data[:start] + data[data.index(b"\n", start) + 1:])
+        for log, out in ((raw, "d"), (without, "d_without")):
+            proc = self.run("preprocess", "--input", str(log), "--out-dir", str(tmp_path / out),
+                            "--min-item-support", "2")
+            assert proc.returncode == 0 and proc.stderr == ""
+        stats = json.loads((tmp_path / "d" / "stats.json").read_text())["stats"]
+        assert stats["skipped_lines"] == 1
+        sessions = [(tmp_path / out / "dataset.jsonl").read_text().splitlines()[1:] for out in ("d", "d_without")]
+        assert sessions[0] == sessions[1]
 
     def test_dataset(self, pipeline, tmp_path):
         shutil.copy(pipeline["data"] / "dataset.jsonl.vocab", tmp_path / "dataset.jsonl.vocab")
@@ -432,7 +467,7 @@ class TestDumpGraphs:
         rc = main(["preprocess", "--input", str(pipeline["raw"]), "--out-dir", str(out_dir),
                    "--min-item-support", "2", "--dump-graphs"])
         assert rc == 0
-        lines = open(out_dir / "graphs.jsonl").read().splitlines()
+        lines = (out_dir / "graphs.jsonl").read_text().splitlines()
         assert lines
         rec = json.loads(lines[0])
         assert set(rec) == {"split", "prefix", "nodes", "alias", "m_in", "m_out"}

@@ -10,6 +10,7 @@ from casif import (
     HyperParams,
     LogFormat,
     PrefixExample,
+    PreprocessConfig,
     Session,
     SynthSpec,
     TrainConfig,
@@ -21,6 +22,7 @@ from casif import (
     parse_click_log,
     parse_timestamp_ms,
     persist_dataset,
+    preprocess,
     save_checkpoint,
     sessionize_and_filter,
     take_recent_fraction,
@@ -157,6 +159,75 @@ class TestSplitAndFraction:
                 take_recent_fraction(ten, bad)
 
 
+class TestPreprocess:
+    """The whole recipe on a crafted log: latest start S = 10000, window W = 1000."""
+
+    LOG = ["s1,7000,a", "s1,7001,b",                    # trains
+           "s2,9000,b", "s2,9001,a",                    # starts at S - W: trains
+           "s3,9001,a", "s3,9002,b", "s3,9003,a",       # starts at S - W + 1: tests
+           "s4,10000,b", "s4,10001,b"]                  # starts at S: tests
+
+    @staticmethod
+    def raw(ds, sessions):
+        return [[ds.vocab.index_to_raw[i] for i in items] for items in sessions]
+
+    def run(self, **settings):
+        return preprocess(self.LOG, settings=PreprocessConfig(**{"min_item_support": 1, **settings}))
+
+    def test_window_boundary(self):
+        ds, skipped = self.run(test_window_ms=1000)
+        assert self.raw(ds, ds.train_sessions) == [["a", "b"], ["b", "a"]]
+        assert self.raw(ds, ds.test_sessions) == [["a", "b", "a"], ["b", "b"]]
+        assert ds.provenance == {"split_ts": 9001} and skipped == 0
+
+    def test_explicit_split_ts_overrides_the_window(self):
+        ds, _ = self.run(test_window_ms=1000, split_ts=8000)
+        assert self.raw(ds, ds.train_sessions) == [["a", "b"]]
+        assert self.raw(ds, ds.test_sessions) == [["b", "a"], ["a", "b", "a"], ["b", "b"]]
+        assert ds.provenance == {"split_ts": 8000}
+
+    def test_provenance_adds_the_split_to_the_given_block(self):
+        given = {"command": "preprocess"}
+        ds, _ = preprocess(self.LOG, settings=PreprocessConfig(min_item_support=1, test_window_ms=1000),
+                           provenance=given)
+        assert ds.provenance == {"command": "preprocess", "split_ts": 9001}
+        assert given == {"command": "preprocess"}
+
+    def test_fraction_trims_only_the_train_side(self):
+        ds, _ = self.run(test_window_ms=1000, fraction="1/2")
+        assert self.raw(ds, ds.train_sessions) == [["b", "a"]]
+        assert self.raw(ds, ds.test_sessions) == [["a", "b", "a"], ["b", "b"]]
+
+    def test_default_window_is_one_day(self):
+        log = ["s0,0,a", "s0,1,b", "s9,86400000,b", "s9,86400001,a"]
+        ds, _ = preprocess(log, settings=PreprocessConfig(min_item_support=1))
+        assert ds.provenance == {"split_ts": 1}
+        assert self.raw(ds, ds.train_sessions) == [["a", "b"]]
+        assert self.raw(ds, ds.test_sessions) == [["b", "a"]]
+
+    def test_skipped_lines_counted(self):
+        ds, skipped = preprocess(["broken", *self.LOG, "s5,x,a"],
+                                 settings=PreprocessConfig(min_item_support=1, test_window_ms=1000))
+        assert skipped == 2 and len(ds.train_sessions) == len(ds.test_sessions) == 2
+
+    def test_nothing_left_is_a_data_error(self):
+        with pytest.raises(DataError, match="no sessions survive filtering"):
+            self.run(min_item_support=6)    # no item is clicked 6 times
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"test_window_ms": -1}, "test_window_ms must be >= 0"),
+        ({"fraction": "abc"}, "cannot interpret fraction 'abc'"),
+        ({"fraction": "1/0"}, "cannot interpret fraction '1/0'"),
+        ({"fraction": float("nan")}, "cannot interpret fraction nan"),
+        ({"fraction": None}, "cannot interpret fraction None"),
+        ({"fraction": 2}, r"fraction must be in \(0, 1\], got 2"),
+        ({"fraction": "0"}, r"fraction must be in \(0, 1\], got 0"),
+    ], ids=repr)
+    def test_bad_settings_rejected_at_construction(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            PreprocessConfig(**settings)
+
+
 class TestPrefixExpansion:
     def test_each_prefix_labelled_with_next(self):
         got = expand_prefixes(Session(items=[3, 1, 4, 1], start_time=0))
@@ -264,7 +335,7 @@ class TestPersistence:
         ds = self.make_ds()
         path = tmp_path / "data.jsonl"
         persist_dataset(ds, path)
-        lines = open(path).read().splitlines()
+        lines = path.read_text().splitlines()
         assert len(lines) == 1 + len(ds.train_sessions) + len(ds.test_sessions) == 4
         assert [json.loads(line) for line in lines[1:]] == [
             {"items": [0, 1, 0], "split": "train"}, {"items": [1, 2], "split": "train"},
@@ -326,7 +397,8 @@ class TestPersistence:
         path = tmp_path / "data.jsonl"
         persist_dataset(ds, path)
         vocab_path = f"{path}.vocab"
-        lines = open(vocab_path).readlines()
+        with open(vocab_path) as fh:
+            lines = fh.readlines()
         with open(vocab_path, "w") as fh:
             fh.writelines(lines[:-1])
         with pytest.raises(DataError, match="entries"):
@@ -344,7 +416,8 @@ class TestPersistence:
         path = tmp_path / "data.jsonl"
         persist_dataset(self.make_ds(), path)
         vocab_path = f"{path}.vocab"
-        lines = corrupt_vocab(open(vocab_path).readlines(), how)
+        with open(vocab_path) as fh:
+            lines = corrupt_vocab(fh.readlines(), how)
         with open(vocab_path, "wb") as fh:
             fh.writelines(lines)
         with pytest.raises(DataError, match=message):
