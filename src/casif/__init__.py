@@ -12,7 +12,7 @@ import ctypes
 
 from .config import DEFAULTS, effective_config, hyper_params, preprocess_config, train_config
 from .corpus import (
-    ClickEvent,
+    ClickColumns,
     ItemVocabulary,
     LogFormat,
     PrefixExample,

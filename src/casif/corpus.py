@@ -8,6 +8,12 @@ the settings of one PreprocessConfig:
     parse_click_log -> sessionize_and_filter -> time_split
         -> take_recent_fraction (train side) -> build_vocab_and_reindex
 
+A parsed log is columnar (ClickColumns): three int64 columns with one
+entry per click in file order (session code, epoch ms, item code), where
+a code indexes the raw ids ``session_ids``/``item_ids``, each interned
+in first-seen order.  sessionize_and_filter works on the columns and
+builds Session lists of raw ids only for the sessions that survive.
+
 The dataset file (persist_dataset, load_dataset) holds the sessions, one
 per line; the examples are expanded again when it is loaded.
 
@@ -27,18 +33,14 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
 DATASET_FORMAT = "casif-dataset"
 DATASET_VERSION = 2
-
-
-@dataclass
-class ClickEvent:
-    session_id: str
-    timestamp: int      # milliseconds since epoch
-    item_id: str
 
 
 @dataclass
@@ -121,14 +123,35 @@ class PreprocessConfig:
     fraction: str | int | float = "1"   # most-recent fraction of train sessions kept
 
     def __post_init__(self):
+        _check_session_lengths(self.min_session_len, self.max_session_len)
         if self.test_window_ms < 0:
             raise ConfigError(f"test_window_ms must be >= 0, got {self.test_window_ms}")
         _as_fraction(self.fraction)
 
 
+def _check_session_lengths(min_session_len: int, max_session_len: int) -> None:
+    if min_session_len < 1:
+        raise ConfigError(f"min_session_len must be >= 1, got {min_session_len}")
+    if max_session_len < 0:
+        raise ConfigError(f"max_session_len must be >= 0 (0: no cap), got {max_session_len}")
+
+
+@dataclass
+class ClickColumns:
+    """Clicks in file order as three int64 columns; a code indexes its raw-id list."""
+    session: np.ndarray         # session code of each click
+    time: np.ndarray            # epoch milliseconds of each click
+    item: np.ndarray            # item code of each click
+    session_ids: list[str]      # raw session ids, in first-seen order
+    item_ids: list[str]         # raw item ids, in first-seen order
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+
 @dataclass
 class ParsedLog:
-    events: list[ClickEvent]
+    events: ClickColumns
     skipped: int = 0
 
 
@@ -155,19 +178,24 @@ def parse_timestamp_ms(text: str) -> int:
 
 # the lone surrogates that errors="surrogateescape" decodes bytes that are not UTF-8 to
 _UNDECODED = re.compile("[\udc80-\udcff]")
+_TIMESTAMP_LIMIT = 1 << 63     # the first epoch ms an int64 column cannot hold
 
 
 def parse_click_log(stream, fmt: LogFormat | None = None, strict: bool = False) -> ParsedLog:
-    """Parse delimited click-log lines into events, in file order.
+    """Parse delimited click-log lines into columns, in file order.
 
     Malformed lines are skipped and counted; with strict=True the first
     one aborts with its line number.  A line holding bytes that are not
-    UTF-8, read with errors="surrogateescape", is malformed.
+    UTF-8, read with errors="surrogateescape", is malformed, and so is a
+    timestamp of 2**63 ms or later, which an int64 column cannot hold.
     """
     fmt = fmt or LogFormat()
     need = max(fmt.session_col, fmt.time_col, fmt.item_col) + 1
-    events: list[ClickEvent] = []
     skipped = 0
+    session_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    columns = [], [], []    # list.append is about twice as fast as array("q").append
+    add_session, add_time, add_item = (column.append for column in columns)
     for lineno, line in enumerate(stream, start=1):
         if fmt.has_header and lineno == 1:
             continue
@@ -185,59 +213,64 @@ def parse_click_log(stream, fmt: LogFormat | None = None, strict: bool = False) 
             if not session_id or not item_id:
                 raise ValueError("empty session or item id")
             ts = parse_timestamp_ms(parts[fmt.time_col])
-            if ts < 0:
-                raise ValueError(f"negative timestamp {ts}")
+            if not 0 <= ts < _TIMESTAMP_LIMIT:
+                raise ValueError(f"negative timestamp {ts}" if ts < 0 else "timestamp out of range")
         except ValueError as exc:
             if strict:
                 raise DataError(f"line {lineno}: {exc}") from exc
             skipped += 1
             continue
-        events.append(ClickEvent(session_id, ts, item_id))
-    return ParsedLog(events, skipped)
+        add_session(session_code.setdefault(session_id, len(session_code)))
+        add_time(ts)
+        add_item(item_code.setdefault(item_id, len(item_code)))
+    session, time, item = (np.array(column, dtype=np.int64) for column in columns)
+    return ParsedLog(ClickColumns(session, time, item, list(session_code), list(item_code)), skipped)
 
 
 def sessionize_and_filter(
-    events,
+    events: ClickColumns,
     min_item_support: int = PreprocessConfig.min_item_support,
     min_session_len: int = PreprocessConfig.min_session_len,
     max_session_len: int = PreprocessConfig.max_session_len,
 ) -> list[Session]:
-    """Group events into sessions and apply the support/length filters.
+    """Group clicks into sessions and apply the support/length filters.
 
     Clicks are grouped by session id and ordered by timestamp (ties keep
     file order); items whose total occurrence count across the corpus is
     below min_item_support are removed from every session; sessions then
     shorter than min_session_len are dropped, and survivors are truncated
     to their most recent max_session_len clicks.  Output is ordered by
-    session start time.  A max_session_len of 0 keeps every click.
+    session start time, ties in first-seen order of the session ids.  A
+    max_session_len of 0 keeps every click.
     """
-    if min_session_len < 1:
-        raise ConfigError(f"min_session_len must be >= 1, got {min_session_len}")
-    if max_session_len < 0:
-        raise ConfigError(f"max_session_len must be >= 0 (0: no cap), got {max_session_len}")
-    by_session: dict[str, list[ClickEvent]] = {}
-    for ev in events:
-        by_session.setdefault(ev.session_id, []).append(ev)
+    _check_session_lengths(min_session_len, max_session_len)
+    num_sessions = len(events.session_ids)
+    # stable: sessions in code (first-seen) order, each in timestamp order, ties in file order
+    order = np.lexsort((events.time, events.session))
+    length = np.bincount(events.session, minlength=num_sessions)
+    start = events.time[order[np.cumsum(length) - length]]     # each session's first click
+    session, item = events.session[order], events.item[order]
+    del order       # 8 bytes a click, not needed past here
 
-    ordered: list[tuple[int, list]] = []
-    support: dict[str, int] = {}
-    for clicks in by_session.values():
-        clicks.sort(key=lambda ev: ev.timestamp)  # stable: ties keep file order
-        items = [ev.item_id for ev in clicks]
-        ordered.append((clicks[0].timestamp, items))
-        for item in items:
-            support[item] = support.get(item, 0) + 1
+    support = np.bincount(events.item, minlength=len(events.item_ids))
+    keep = support[item] >= min_item_support
+    session, item = session[keep], item[keep]
+    length = np.bincount(session, minlength=num_sessions)
+    alive = length >= min_session_len
+    keep = alive[session]
+    if max_session_len:
+        # clicks from each one to its session's end, itself included
+        keep &= np.cumsum(length)[session] - np.arange(len(session)) <= max_session_len
+    session, item = session[keep], item[keep]
+    length = np.bincount(session, minlength=num_sessions)
+    end = np.cumsum(length)
+    first, end = (end - length).tolist(), end.tolist()
 
-    kept: list[Session] = []
-    for start, items in ordered:
-        items = [it for it in items if support[it] >= min_item_support]
-        if len(items) < min_session_len:
-            continue
-        if max_session_len and len(items) > max_session_len:
-            items = items[-max_session_len:]
-        kept.append(Session(items=items, start_time=start))
-    kept.sort(key=lambda s: s.start_time)  # stable: ties keep grouping order
-    return kept
+    survivors = np.flatnonzero(alive)
+    survivors = survivors[np.argsort(start[survivors], kind="stable")].tolist()
+    raw = np.array(events.item_ids, dtype=object)[item].tolist()
+    start = start.tolist()
+    return [Session(raw[first[s]:end[s]], start[s]) for s in survivors]
 
 
 def time_split(sessions, split_ts: int):
@@ -327,7 +360,7 @@ def persist_dataset(ds: ProcessedDataset, path) -> None:
     Line 1 is a header record; every following line is one session,
     {"items": [...], "split": "train"|"test"}: train sessions first, then
     test, each in dataset order.  The vocabulary goes to path + '.vocab',
-    one {"raw", "index"} record per line.
+    one {"index", "raw"} record per line.
     """
     with open(path, "w", encoding="utf-8") as fh:
         header = {
@@ -337,12 +370,13 @@ def persist_dataset(ds: ProcessedDataset, path) -> None:
             "provenance": ds.provenance,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
+        # the bytes json.dumps(record, sort_keys=True) gives, written from templates
         for split, sessions in (("train", ds.train_sessions), ("test", ds.test_sessions)):
-            for items in sessions:
-                fh.write(json.dumps({"items": items, "split": split}, sort_keys=True) + "\n")
+            tail = f'], "split": "{split}"}}\n'
+            fh.writelines('{"items": [' + ", ".join(map(str, items)) + tail for items in sessions)
     with open(f"{path}.vocab", "w", encoding="utf-8") as fh:
-        for index, raw in enumerate(ds.vocab.index_to_raw):
-            fh.write(json.dumps({"raw": raw, "index": index}, sort_keys=True) + "\n")
+        fh.writelines(f'{{"index": {index}, "raw": {encode_basestring_ascii(raw)}}}\n'
+                      for index, raw in enumerate(ds.vocab.index_to_raw))
 
 
 def load_dataset(path) -> ProcessedDataset:
@@ -354,50 +388,50 @@ def load_dataset(path) -> ProcessedDataset:
     and line.
     """
     with open(path, "rb") as fh:    # bytes, decoded line by line, so bad UTF-8 names its line
-        header = _json_line(fh.readline(), f"{path}: line 1")
+        header = _json_line(fh.readline(), path, 1)
         if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
             raise DataError(f"{path}: not a {DATASET_FORMAT} file")
         if header.get("version") != DATASET_VERSION:
             raise DataError(f"{path}: unsupported version {header.get('version')!r}")
         num_items = header.get("num_items")
-        if not isinstance(num_items, int) or isinstance(num_items, bool) or num_items < 1:
+        if type(num_items) is not int or num_items < 1:
             raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
         splits: dict[str, list[list[int]]] = {"train": [], "test": []}
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            where = f"{path}: line {lineno}"
-            rec = _json_line(line, where)
+            rec = _json_line(line, path, lineno)
             try:
                 items, split = rec["items"], rec["split"]
             except (KeyError, TypeError) as exc:
-                raise DataError(f"{where}: malformed record: {exc}") from exc
+                raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
             if split not in ("train", "test"):
-                raise DataError(f"{where}: unknown split {split!r}")
+                raise DataError(f"{path}: line {lineno}: unknown split {split!r}")
             if type(items) is not list or len(items) < 2 or not all(type(i) is int for i in items):
-                raise DataError(f"{where}: malformed record: items must be a list of at least 2 integers")
+                raise DataError(f"{path}: line {lineno}: malformed record: "
+                                "items must be a list of at least 2 integers")
             if min(items) < 0 or max(items) >= num_items:
-                raise DataError(f"{where}: item index out of range [0, {num_items})")
+                raise DataError(f"{path}: line {lineno}: item index out of range [0, {num_items})")
             splits[split].append(items)
 
     vocab = load_vocab(f"{path}.vocab", num_items)
     return ProcessedDataset(splits["train"], splits["test"], vocab, header.get("provenance", {}))
 
 
-def _json_line(line: bytes, where: str):
-    """The JSON value on one line of a file; a DataError naming ``where`` if there is none."""
+def _json_line(line: bytes, path, lineno: int):
+    """The JSON value on one line of a file; a DataError naming the file and line if there is none."""
     try:
         return json.loads(line.decode("utf-8"))     # json.loads(bytes) would detect the encoding: slower
     except UnicodeDecodeError as exc:
-        raise DataError(f"{where}: malformed record: not UTF-8 text: {exc}") from exc
+        raise DataError(f"{path}: line {lineno}: malformed record: not UTF-8 text: {exc}") from exc
     except (ValueError, RecursionError) as exc:     # RecursionError: nested too deeply to parse
-        raise DataError(f"{where}: malformed record: {exc}") from exc
+        raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
 
 
 def load_vocab(path, num_items: int) -> ItemVocabulary:
     """Read a vocabulary file that lists each index 0 .. num_items-1 exactly once.
 
-    Every line is a {"raw": str, "index": int} record; blank lines are
+    Every line is a {"index": int, "raw": str} record; blank lines are
     skipped.  Any other content is a DataError naming the file and line.
     """
     raw_of: dict[int, str] = {}
@@ -406,20 +440,20 @@ def load_vocab(path, num_items: int) -> ItemVocabulary:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"{path}: line {lineno}"
-            rec = _json_line(line, where)
+            rec = _json_line(line, path, lineno)
             try:
                 raw, index = rec["raw"], rec["index"]
             except (KeyError, TypeError) as exc:
-                raise DataError(f"{where}: malformed record: {exc}") from exc
-            if not isinstance(raw, str) or not isinstance(index, int) or isinstance(index, bool):
-                raise DataError(f"{where}: malformed record: raw must be a string, index an integer")
+                raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+            if type(raw) is not str or type(index) is not int:
+                raise DataError(f"{path}: line {lineno}: malformed record: "
+                                "raw must be a string, index an integer")
             if not 0 <= index < num_items:
-                raise DataError(f"{where}: index {index} out of range [0, {num_items})")
+                raise DataError(f"{path}: line {lineno}: index {index} out of range [0, {num_items})")
             if index in raw_of:
-                raise DataError(f"{where}: index {index} listed twice")
+                raise DataError(f"{path}: line {lineno}: index {index} listed twice")
             if raw in raw_to_index:
-                raise DataError(f"{where}: raw id {raw!r} listed twice")
+                raise DataError(f"{path}: line {lineno}: raw id {raw!r} listed twice")
             raw_of[index] = raw
             raw_to_index[raw] = index
     # every index is in range and listed once, so a full count lists them all

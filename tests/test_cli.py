@@ -284,6 +284,28 @@ class TestExitCodes:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_strict_preprocess_reports_a_bad_length_setting_before_a_bad_line(self, tmp_path, capsys):
+        raw = tmp_path / "bad.csv"
+        raw.write_text("s1,1000,a\nbroken\n")
+        rc = main(["preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d"),
+                   "--strict", "--min-session-len", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: min_session_len must be >= 1, got 0\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_timestamp_beyond_int64_is_a_malformed_line(self, tmp_path, capsys):
+        raw = tmp_path / "big.csv"
+        raw.write_text("s1,1000,a\ns1,99999999999999999999,b\ns1,2000,b\ns2,3000,a\ns2,3001,b\n")
+        rc = main(["preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d"), "--strict",
+                   "--min-item-support", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {raw}: line 2: timestamp out of range\n"
+        assert main(["preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d"),
+                     "--min-item-support", "1", "--split-ts", "2500"]) == 0
+        stats = json.loads((tmp_path / "d" / "stats.json").read_text())["stats"]
+        assert (stats["skipped_lines"], stats["clicks"]) == (1, 4)
+
     @pytest.mark.parametrize("fraction", ["abc", "1/0"])
     def test_bad_fraction_is_config_error(self, pipeline, tmp_path, capsys, fraction):
         rc = main(["preprocess", "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d"),

@@ -1,11 +1,13 @@
 import io
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from casif import (
-    ClickEvent,
+    ClickColumns,
     DataError,
     HyperParams,
     LogFormat,
@@ -28,13 +30,24 @@ from casif import (
     take_recent_fraction,
     time_split,
     train,
+    write_click_log,
 )
 from casif.errors import ConfigError
 from test_cli import corrupt_vocab
 
 
 def ev(sess, ts, item):
-    return ClickEvent(sess, ts, item)
+    return (sess, ts, item)
+
+
+def columns(events):
+    return parse_click_log([f"{sess},{ts},{item}" for sess, ts, item in events]).events
+
+
+def rows(events: ClickColumns):
+    """(session_id, timestamp, item_id) of each parsed click, in file order."""
+    return [(events.session_ids[s], t, events.item_ids[i])
+            for s, t, i in zip(events.session.tolist(), events.time.tolist(), events.item.tolist())]
 
 
 class TestTimestampParsing:
@@ -64,20 +77,20 @@ class TestLogParsing:
         log = io.StringIO("s1,1000,a\ns1,2000,b\ns2,1500,a\n")
         parsed = parse_click_log(log)
         assert parsed.skipped == 0
-        assert [(e.session_id, e.timestamp, e.item_id) for e in parsed.events] == [
+        assert rows(parsed.events) == [
             ("s1", 1000, "a"), ("s1", 2000, "b"), ("s2", 1500, "a")]
 
     def test_header_and_custom_columns(self):
         log = io.StringIO("item\tsession\twhen\na\ts1\t1000\nb\ts1\t2000\n")
         fmt = LogFormat(delimiter="\t", has_header=True, session_col=1, time_col=2, item_col=0)
         parsed = parse_click_log(log, fmt)
-        assert [e.item_id for e in parsed.events] == ["a", "b"]
+        assert [item for _, _, item in rows(parsed.events)] == ["a", "b"]
 
     def test_lenient_skips_and_counts(self):
         log = io.StringIO("s1,1000,a\ngarbage\ns1,notatime,b\ns1,2000,c\n,3000,d\n")
         parsed = parse_click_log(log)
         assert parsed.skipped == 3
-        assert [e.item_id for e in parsed.events] == ["a", "c"]
+        assert [item for _, _, item in rows(parsed.events)] == ["a", "c"]
 
     def test_strict_raises_with_line_number(self):
         log = io.StringIO("s1,1000,a\ns1,notatime,b\n")
@@ -88,36 +101,45 @@ class TestLogParsing:
         parsed = parse_click_log(io.StringIO("s1,1000,a\n\n\ns1,2000,b\n"))
         assert parsed.skipped == 0 and len(parsed.events) == 2
 
+    @pytest.mark.parametrize("ts", ["9223372036854775808", "99999999999999999999"])
+    def test_timestamp_from_2_to_the_63_is_malformed(self, ts):
+        log = f"s1,1000,a\ns1,{ts},b\ns1,9223372036854775807,c\n"
+        parsed = parse_click_log(io.StringIO(log))
+        assert parsed.skipped == 1
+        assert rows(parsed.events) == [("s1", 1000, "a"), ("s1", 2**63 - 1, "c")]
+        with pytest.raises(DataError, match="^line 2: timestamp out of range$"):
+            parse_click_log(io.StringIO(log), strict=True)
+
 
 class TestSessionizeAndFilter:
     def test_groups_and_orders_by_time(self):
         events = [ev("b", 300, "y"), ev("a", 100, "x"), ev("a", 50, "w"),
                   ev("b", 250, "x"), ev("a", 75, "y")]
-        out = sessionize_and_filter(events, min_item_support=1, min_session_len=2)
+        out = sessionize_and_filter(columns(events), min_item_support=1, min_session_len=2)
         assert [s.items for s in out] == [["w", "y", "x"], ["x", "y"]]
         assert [s.start_time for s in out] == [50, 250]
 
     def test_timestamp_ties_keep_file_order(self):
         events = [ev("a", 10, "p"), ev("a", 10, "q"), ev("a", 10, "r")]
-        out = sessionize_and_filter(events, min_item_support=1, min_session_len=2)
+        out = sessionize_and_filter(columns(events), min_item_support=1, min_session_len=2)
         assert out[0].items == ["p", "q", "r"]
 
     def test_support_counts_every_occurrence(self):
         # "x" appears twice in one session: support 2 passes a threshold of 2
         events = [ev("a", 1, "x"), ev("a", 2, "x"), ev("b", 3, "y"), ev("b", 4, "z")]
-        out = sessionize_and_filter(events, min_item_support=2, min_session_len=2)
+        out = sessionize_and_filter(columns(events), min_item_support=2, min_session_len=2)
         assert [s.items for s in out] == [["x", "x"]]
 
     def test_low_support_removed_then_short_dropped(self):
         # "z" is rare; removing it leaves session b a singleton, which dies
         events = [ev("a", 1, "x"), ev("a", 2, "y"), ev("b", 3, "x"),
                   ev("b", 4, "z"), ev("c", 5, "y"), ev("c", 6, "x")]
-        out = sessionize_and_filter(events, min_item_support=2, min_session_len=2)
+        out = sessionize_and_filter(columns(events), min_item_support=2, min_session_len=2)
         assert [s.items for s in out] == [["x", "y"], ["y", "x"]]
 
     def test_truncates_to_most_recent(self):
         events = [ev("a", t, f"i{t}") for t in range(1, 8)]
-        out = sessionize_and_filter(events, min_item_support=1, min_session_len=2,
+        out = sessionize_and_filter(columns(events), min_item_support=1, min_session_len=2,
                                     max_session_len=3)
         assert out[0].items == ["i5", "i6", "i7"]
         assert out[0].start_time == 1   # start time is the session's, not the window's
@@ -125,7 +147,57 @@ class TestSessionizeAndFilter:
     def test_defaults_mirror_yoochoose_style_rules(self):
         # below support 5 everything dies
         events = [ev("a", 1, "x"), ev("a", 2, "y")]
-        assert sessionize_and_filter(events) == []
+        assert sessionize_and_filter(columns(events)) == []
+
+
+def reference_sessionize(clicks, min_item_support, min_session_len, max_session_len):
+    """The dict-and-sort sessionizer over (session_id, timestamp, item_id) rows: (items, start) pairs."""
+    by_session: dict[str, list[tuple[int, str]]] = {}
+    for session_id, ts, item_id in clicks:
+        by_session.setdefault(session_id, []).append((ts, item_id))
+
+    ordered, support = [], {}
+    for session_clicks in by_session.values():
+        session_clicks.sort(key=lambda click: click[0])     # stable: ties keep file order
+        items = [item for _, item in session_clicks]
+        ordered.append((session_clicks[0][0], items))
+        for item in items:
+            support[item] = support.get(item, 0) + 1
+
+    kept = []
+    for start, items in ordered:
+        items = [it for it in items if support[it] >= min_item_support]
+        if len(items) < min_session_len:
+            continue
+        if max_session_len and len(items) > max_session_len:
+            items = items[-max_session_len:]
+        kept.append((items, start))
+    kept.sort(key=lambda session: session[1])       # stable: ties keep grouping order
+    return kept
+
+
+def random_log(rng):
+    """Interleaved sessions in shuffled lines, with equal timestamps within and across sessions."""
+    clicks = []
+    for s in range(rng.randint(1, 8)):
+        ts = rng.randint(0, 6)
+        for _ in range(rng.randint(1, 6)):
+            clicks.append((f"s{s}", ts, f"i{rng.randint(0, 5)}"))
+            ts += rng.choice((0, 0, 1, 3))
+    rng.shuffle(clicks)
+    return clicks
+
+
+class TestSessionizeOracle:
+    def test_matches_the_dict_and_sort_reference_on_random_logs(self):
+        nonempty = 0
+        for seed in range(200):
+            clicks = random_log(random.Random(seed))
+            settings = (1 + seed % 4, 1 + seed // 4 % 3, (0, 1, 3)[seed // 12 % 3])
+            got = [(s.items, s.start_time) for s in sessionize_and_filter(columns(clicks), *settings)]
+            assert got == reference_sessionize(clicks, *settings), f"seed {seed}, settings {settings}"
+            nonempty += bool(got)
+        assert nonempty > 150
 
 
 class TestSplitAndFraction:
@@ -215,6 +287,8 @@ class TestPreprocess:
             self.run(min_item_support=6)    # no item is clicked 6 times
 
     @pytest.mark.parametrize("settings, message", [
+        ({"min_session_len": 0}, "min_session_len must be >= 1, got 0"),
+        ({"max_session_len": -1}, r"max_session_len must be >= 0 \(0: no cap\), got -1"),
         ({"test_window_ms": -1}, "test_window_ms must be >= 0"),
         ({"fraction": "abc"}, "cannot interpret fraction 'abc'"),
         ({"fraction": "1/0"}, "cannot interpret fraction '1/0'"),
@@ -284,6 +358,25 @@ class TestPersistence:
         assert [(e.prefix, e.label) for e in back.train] == [(e.prefix, e.label) for e in ds.train]
         assert [(e.prefix, e.label) for e in back.test] == [(e.prefix, e.label) for e in ds.test]
         assert back.provenance == {"note": "fixture"}
+
+    def test_lines_are_sorted_json_records(self, tmp_path):
+        odd = ['say "hi"', "back\\slash", "tab\there", "café", "grin 😀"]
+        train = [Session(odd + ["plain"], 0), Session(["plain", "café"], 1)]
+        ds = build_vocab_and_reindex(train, [Session(["grin 😀", 'say "hi"'], 9)], {"note": "é"})
+        path = tmp_path / "data.jsonl"
+        persist_dataset(ds, path)
+        header = {"format": "casif-dataset", "version": 2, "num_items": ds.num_items,
+                  "provenance": ds.provenance}
+        records = [header, *({"items": items, "split": "train"} for items in ds.train_sessions),
+                   *({"items": items, "split": "test"} for items in ds.test_sessions)]
+        vocab = [{"raw": raw, "index": index} for index, raw in enumerate(ds.vocab.index_to_raw)]
+        for written, expected in ((path, records), (tmp_path / "data.jsonl.vocab", vocab)):
+            with open(written, "rb") as fh:
+                lines = fh.readlines()
+            assert lines == [(json.dumps(r, sort_keys=True) + "\n").encode() for r in expected]
+        back = load_dataset(path)
+        assert back.vocab.index_to_raw == ds.vocab.index_to_raw
+        assert all(back.vocab.raw_to_index[raw] == ds.vocab.raw_to_index[raw] for raw in odd)
 
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -444,3 +537,25 @@ class TestLoadVocab:
         path = self.write(tmp_path, [{"raw": "a", "index": 0.5}])
         with pytest.raises(DataError, match="line 1: malformed"):
             load_vocab(path, 1)
+
+
+class TestIngestMemory:
+    # about 136 B/click measured here (Python 3.11, numpy 2.4); one object per click measured 354
+    BYTES_PER_CLICK = 200
+
+    def test_parse_and_sessionize_peak_per_click(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        spec = SynthSpec(num_items=5000, num_sessions=40_000, min_len=2, max_len=8, seed=1)
+        with open(path, "w", encoding="utf-8") as fh:
+            clicks = write_click_log(generate_sessions(spec), fh)
+        assert 190_000 < clicks < 210_000
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parsed = parse_click_log(fh)
+            sessions = sessionize_and_filter(parsed.events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.events) == clicks and sessions
+        assert peak / clicks < self.BYTES_PER_CLICK
