@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -212,6 +213,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {args.tolerance:g}")
     variants = VARIANTS if args.variant == "both" else (args.variant,)
     cases = run_gradient_check(num_cases=args.cases, variants=variants)
     worst = max(case.rel_error for case in cases)

@@ -397,14 +397,7 @@ def load_dataset(path) -> ProcessedDataset:
         if type(num_items) is not int or num_items < 1:
             raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
         splits: dict[str, list[list[int]]] = {"train": [], "test": []}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            rec = _json_line(line, path, lineno)
-            try:
-                items, split = rec["items"], rec["split"]
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+        for lineno, items, split in _json_records(fh, path, 2, "items", "split"):
             if split not in ("train", "test"):
                 raise DataError(f"{path}: line {lineno}: unknown split {split!r}")
             if type(items) is not list or len(items) < 2 or not all(type(i) is int for i in items):
@@ -428,6 +421,20 @@ def _json_line(line: bytes, path, lineno: int):
         raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
 
 
+def _json_records(lines, path, start: int, first: str, second: str):
+    """(line number, record[first], record[second]) for each non-blank line, numbered from
+    ``start``; a line that is not such a record is a DataError naming the file and line."""
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        rec = _json_line(line, path, lineno)
+        try:
+            values = rec[first], rec[second]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+        yield lineno, *values
+
+
 def load_vocab(path, num_items: int) -> ItemVocabulary:
     """Read a vocabulary file that lists each index 0 .. num_items-1 exactly once.
 
@@ -437,14 +444,7 @@ def load_vocab(path, num_items: int) -> ItemVocabulary:
     raw_of: dict[int, str] = {}
     raw_to_index: dict[str, int] = {}
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = _json_line(line, path, lineno)
-            try:
-                raw, index = rec["raw"], rec["index"]
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+        for lineno, raw, index in _json_records(fh, path, 1, "raw", "index"):
             if type(raw) is not str or type(index) is not int:
                 raise DataError(f"{path}: line {lineno}: malformed record: "
                                 "raw must be a string, index an integer")

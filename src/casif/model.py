@@ -25,6 +25,10 @@ model's one API; ``forward`` and ``backward`` of one example are the
 batch of one, kept for ``casif predict`` and the benchmark's probes, and
 their ``ForwardTrace`` reads only the logits, probabilities and loss.
 
+The learnable tensors, their gradients and Adam's moments are one type,
+``ModelParams``: named views of one float64 vector, in the order of the
+one layout table ``_LAYOUT``.
+
 Everything is float64 numpy.  ``backward_batch`` is exact reverse-mode
 differentiation of the batch's summed loss; ``finite_difference_grad``
 is the independent oracle it is tested against.
@@ -33,7 +37,7 @@ is the independent oracle it is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,62 +80,58 @@ class HyperParams:
             )
 
 
-def _tensor(*shape, variant=None):
-    """A ModelParams field of the given shape, held by one variant or (None) all."""
-    return field(default=None if variant else MISSING, metadata={"shape": shape, "variant": variant})
+# The one tensor layout: name -> shape over the dimensions "items", "d" and "2d".
+# Its order is the checkpoint layout and the init draw order.  Never reorder:
+# serialized checkpoints depend on it.  ``emb`` doubles as the input lookup table
+# and the candidate vectors of the final score (weight tying).
+_LAYOUT = {
+    "emb": ("items", "d"),
+    "w_in": ("d", "d"),          # incoming message transform
+    "b_in_inner": ("d",),        # bias inside the aggregation
+    "b_in_outer": ("d",),        # bias outside the aggregation
+    "w_out": ("d", "d"),
+    "b_out_inner": ("d",),
+    "b_out_outer": ("d",),
+    "gate_update_msg": ("2d", "d"),
+    "gate_update_self": ("d", "d"),
+    "gate_reset_msg": ("2d", "d"),
+    "gate_reset_self": ("d", "d"),
+    "gate_cand_msg": ("2d", "d"),
+    "gate_cand_self": ("d", "d"),
+    "att_score": ("d",),         # weighting vector collapsing gate output to a scalar
+    "att_item": ("d", "d"),      # per-position transform
+    "att_last": ("d", "d"),      # last-click transform
+    "att_mean": ("d", "d"),      # session-mean transform
+    "att_bias": ("d",),
+    "mlp_general_w": ("d", "d"),
+    "mlp_general_b": ("d",),
+    "mlp_current_w": ("d", "d"),
+    "mlp_current_b": ("d",),
+    "att_simple_w": ("d", "d"),
+    "att_simple_b": ("d",),
+}
+_SIMPLIFIED_ONLY = ("att_simple_w", "att_simple_b")     # held by casif_s alone
 
 
-@dataclass
-class ModelParams:
-    """All learnable tensors.
+class ModelParams(dict):
+    """Named tensors that are views of one float64 vector ``flat``.
 
-    The field order is the checkpoint layout and the init draw order.
-    Never reorder: serialized checkpoints depend on it.  Every field is a
-    view into one float64 vector ``flat``, which holds the tensors
-    row-major in declared order, byte for byte the checkpoint's tensor
-    section; the constructor copies its arguments into a fresh one.
-    ``emb`` doubles as the input lookup table and the candidate vectors of
-    the final score (weight tying).  The ``att_simple_*`` tensors exist
-    only for the simplified variant.
+    Parameters, their gradients and Adam's two moments all have this
+    type.  ``flat`` holds the tensors row-major in the order of ``shapes``
+    and is never copied; for parameters it is byte for byte the
+    checkpoint's tensor section.  Each tensor is also an attribute
+    (``params.emb``).  Parameters of the simplified variant hold
+    ``att_simple_w`` and ``att_simple_b``.
     """
 
-    emb: np.ndarray = _tensor("items", "d")
-    w_in: np.ndarray = _tensor("d", "d")          # incoming message transform
-    b_in_inner: np.ndarray = _tensor("d")         # bias inside the aggregation
-    b_in_outer: np.ndarray = _tensor("d")         # bias outside the aggregation
-    w_out: np.ndarray = _tensor("d", "d")
-    b_out_inner: np.ndarray = _tensor("d")
-    b_out_outer: np.ndarray = _tensor("d")
-    gate_update_msg: np.ndarray = _tensor("2d", "d")
-    gate_update_self: np.ndarray = _tensor("d", "d")
-    gate_reset_msg: np.ndarray = _tensor("2d", "d")
-    gate_reset_self: np.ndarray = _tensor("d", "d")
-    gate_cand_msg: np.ndarray = _tensor("2d", "d")
-    gate_cand_self: np.ndarray = _tensor("d", "d")
-    att_score: np.ndarray = _tensor("d")          # weighting vector collapsing gate output to a scalar
-    att_item: np.ndarray = _tensor("d", "d")      # per-position transform
-    att_last: np.ndarray = _tensor("d", "d")      # last-click transform
-    att_mean: np.ndarray = _tensor("d", "d")      # session-mean transform
-    att_bias: np.ndarray = _tensor("d")
-    mlp_general_w: np.ndarray = _tensor("d", "d")
-    mlp_general_b: np.ndarray = _tensor("d")
-    mlp_current_w: np.ndarray = _tensor("d", "d")
-    mlp_current_b: np.ndarray = _tensor("d")
-    att_simple_w: np.ndarray | None = _tensor("d", "d", variant="casif_s")
-    att_simple_b: np.ndarray | None = _tensor("d", variant="casif_s")
-
-    def __post_init__(self):
-        tensors = self.tensors()
-        self.flat = np.concatenate([np.ravel(arr) for _, arr in tensors], dtype=np.float64)
-        self.__dict__.update(_views(self.flat, {name: np.shape(arr) for name, arr in tensors}))
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes) -> "ModelParams":
-        """Parameters whose fields are views of ``flat`` itself, which is not copied."""
-        params = cls.__new__(cls)   # the variant's absent tensors keep their class default, None
-        params.flat = flat
-        params.__dict__.update(_views(flat, shapes))
-        return params
+    def __init__(self, flat: np.ndarray, shapes):
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self[name] = flat[start:stop].reshape(shape)
+            start = stop
+        self.__dict__.update(self)
+        self.flat = flat
 
     @property
     def num_items(self) -> int:
@@ -142,53 +142,28 @@ class ModelParams:
         return self.emb.shape[1]
 
     def tensor_names(self) -> tuple[str, ...]:
-        return _TENSOR_NAMES["casif" if self.att_simple_w is None else "casif_s"]
+        return tuple(self)
 
     def tensors(self):
         """(name, array) pairs in the fixed declared order."""
-        return [(name, getattr(self, name)) for name in self.tensor_names()]
+        return list(self.items())
 
     def shapes(self) -> dict:
         """Shape of every tensor, in declared order."""
-        return {name: arr.shape for name, arr in self.tensors()}
+        return {name: arr.shape for name, arr in self.items()}
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_flat(self.flat.copy(), self.shapes())
+        return ModelParams(self.flat.copy(), self.shapes())
 
     def __reduce__(self):   # pickle and copy.deepcopy rebuild the views over the copied vector
-        return ModelParams.from_flat, (self.flat, self.shapes())
-
-
-def _views(flat: np.ndarray, shapes) -> dict:
-    """Consecutive views of ``flat``, one per (name, shape) in order."""
-    views, start = {}, 0
-    for name, shape in shapes.items():
-        stop = start + math.prod(shape)
-        views[name] = flat[start:stop].reshape(shape)
-        start = stop
-    return views
-
-
-class Gradients(dict):
-    """Tensor name -> array shaped like the ModelParams field: views, in declared
-    order, into one float64 vector ``flat``.  Adam's moments have this layout too."""
-
-    def __init__(self, flat: np.ndarray, shapes):
-        super().__init__(_views(flat, shapes))
-        self.flat = flat
-
-    def __reduce__(self):
-        return Gradients, (self.flat, {name: arr.shape for name, arr in self.items()})
+        return ModelParams, (self.flat, self.shapes())
 
 
 def _tensor_shapes(num_items: int, d: int, variant: str):
     """Shape of every tensor the variant has, in declared order."""
     dims = {"items": num_items, "d": d, "2d": 2 * d}
-    return {f.name: tuple(dims[x] for x in f.metadata["shape"])
-            for f in fields(ModelParams) if f.metadata["variant"] in (None, variant)}
-
-
-_TENSOR_NAMES = {variant: tuple(_tensor_shapes(1, 1, variant)) for variant in VARIANTS}
+    return {name: tuple(dims[x] for x in shape) for name, shape in _LAYOUT.items()
+            if variant == "casif_s" or name not in _SIMPLIFIED_ONLY}
 
 
 def init_params(num_items: int, hp: HyperParams, seed: int) -> ModelParams:
@@ -201,12 +176,14 @@ def init_params(num_items: int, hp: HyperParams, seed: int) -> ModelParams:
         raise ConfigError(f"num_items must be >= 1, got {num_items}")
     stream = SplitMix64(substream_seed(seed, STREAM_INIT))
     shapes = _tensor_shapes(num_items, hp.d, hp.variant)
-    kwargs = {name: stream.gaussian(shape, std=INIT_STD) for name, shape in shapes.items()}
-    return ModelParams(**kwargs)
+    params = ModelParams(np.empty(sum(map(math.prod, shapes.values()))), shapes)
+    for arr in params.values():
+        arr[...] = stream.gaussian(arr.shape, std=INIT_STD)
+    return params
 
 
-def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(np.zeros_like(params.flat), params.shapes())
+def zero_gradients(params: ModelParams) -> ModelParams:
+    return ModelParams(np.zeros_like(params.flat), params.shapes())
 
 
 # Memory budget of one sub-batch's forward and backward pass.  Measured, one example
@@ -379,7 +356,7 @@ def attention_global_interest(h_pos, h_last, session_mean, params: ModelParams):
 
 def casif_s_attention(h_pos, params: ModelParams):
     """Simplified attention: each position scored from itself alone."""
-    if params.att_simple_w is None:
+    if "att_simple_w" not in params:
         raise ConfigError("simplified attention requires params built with variant='casif_s'")
     return _readout(h_pos, _rows(h_pos, params.att_simple_w) + params.att_simple_b, params)
 
@@ -499,7 +476,7 @@ def forward(example, params: ModelParams, hp: HyperParams) -> ForwardTrace:
 # backward
 
 
-def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grads=None) -> Gradients:
+def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grads=None) -> ModelParams:
     """Exact gradient of the batch's summed loss, added into ``grads`` (fresh zeros if None).
 
     The embedding table accumulates from both of its roles: every row as
@@ -599,12 +576,12 @@ def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grad
     return grads
 
 
-def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> Gradients:
+def backward(trace: ForwardTrace, params: ModelParams, hp: HyperParams) -> ModelParams:
     """Exact gradient of trace.loss with respect to every parameter: the batch of one."""
     return backward_batch(trace.batch, params, hp)
 
 
-def finite_difference_grad(examples, params: ModelParams, hp: HyperParams, h: float = 1e-5) -> Gradients:
+def finite_difference_grad(examples, params: ModelParams, hp: HyperParams, h: float = 1e-5) -> ModelParams:
     """Central-difference gradient of the summed loss of a list of examples.
 
     Independent check of ``backward_batch``, coordinate by coordinate; cost
@@ -625,7 +602,7 @@ def finite_difference_grad(examples, params: ModelParams, hp: HyperParams, h: fl
     return grads
 
 
-def relative_gradient_error(analytic: Gradients, numeric: Gradients, floor: float = 1e-6) -> float:
+def relative_gradient_error(analytic: ModelParams, numeric: ModelParams, floor: float = 1e-6) -> float:
     """Worst |analytic - numeric| / max(|numeric|, floor) over all coordinates."""
     worst = 0.0
     for name, g_num in numeric.items():

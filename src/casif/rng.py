@@ -94,9 +94,8 @@ class SplitMix64:
         """Gaussian array via Box-Muller."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         pairs = (n + 1) // 2
-        u1 = (self.words(pairs) >> np.uint64(11)) * 2.0 ** -53
-        u2 = (self.words(pairs) >> np.uint64(11)) * 2.0 ** -53
-        u1 = 1.0 - u1  # (0, 1]: keeps log finite
+        u1 = 1.0 - self.uniform(pairs)  # (0, 1]: keeps log finite
+        u2 = self.uniform(pairs)
         r = np.sqrt(-2.0 * np.log(u1))
         out = np.empty(2 * pairs)
         out[0::2] = r * np.cos(2.0 * np.pi * u2)

@@ -9,9 +9,10 @@ resuming from the checkpoint reproduces the uninterrupted run, because
 nothing carries hidden state across epochs except the parameters and the
 optimizer moments, both of which the checkpoint holds.
 
-Parameters, gradients and Adam moments are each one float64 vector
-``flat`` viewed by named tensors, so Adam and the gradient scaling are
-whole-vector operations, and the checkpoint's tensor section is ``params.flat``.
+Parameters, gradients and Adam moments are one type, ``ModelParams``:
+named tensors viewing one float64 vector ``flat``.  So Adam and the
+gradient scaling are whole-vector operations, and the checkpoint's tensor
+section is ``params.flat``.
 
 Checkpoint layout (all little-endian), one for every file:
 
@@ -43,7 +44,6 @@ from .model import (
     LOSS_VARIANTS,
     VARIANTS,
     HyperParams,
-    Gradients,
     ModelParams,
     _tensor_shapes,
     backward_batch,
@@ -100,8 +100,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    moment1: Gradients
-    moment2: Gradients
+    moment1: ModelParams
+    moment2: ModelParams
     t: int = 0
 
     @classmethod
@@ -155,7 +155,7 @@ def lr_for_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
 
 
-def adam_step(params: ModelParams, grads: Gradients, state: AdamState, lr: float):
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float):
     """One bias-corrected Adam update of ``params.flat``, in place.  Aborts on non-finite gradients.
 
     Whole-vector operations with two temporaries, in the per-element order
@@ -309,11 +309,11 @@ def load_checkpoint(path) -> Checkpoint:
             problem = "truncated checkpoint" if actual < expected else "trailing bytes after checkpoint payload"
             raise DataError(f"{path}: {problem}: {actual} bytes, the header needs {expected}")
 
-        params = ModelParams.from_flat(np.empty(size, dtype="<f8"), shapes)
+        params = ModelParams(np.empty(size, dtype="<f8"), shapes)
         fh.readinto(params.flat)
         (t,) = _U64.unpack(fh.read(_U64.size))
         moments = np.empty(2 * size, dtype="<f8")
-        moment1, moment2 = Gradients(moments[:size], shapes), Gradients(moments[size:], shapes)
+        moment1, moment2 = ModelParams(moments[:size], shapes), ModelParams(moments[size:], shapes)
         for name in shapes:     # interleaved per tensor
             fh.readinto(moment1[name])
             fh.readinto(moment2[name])

@@ -216,6 +216,14 @@ class TestExitCodes:
         assert rc == 3
         assert "gradcheck FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-4"])
+    def test_unusable_gradcheck_tolerance_is_config_error(self, capsys, tolerance):
+        rc = main(["gradcheck", "--cases", "0", f"--tolerance={tolerance}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "tolerance" in captured.err
+
     @pytest.mark.parametrize("cases", ["-8", "-3"])
     def test_negative_gradcheck_cases_is_config_error(self, capsys, cases):
         rc = main(["gradcheck", "--cases", cases])

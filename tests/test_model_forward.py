@@ -18,8 +18,7 @@ from reference_impl import ref_eq13, ref_forward
 
 def zero_params(num_items, d, variant="casif", emb=None):
     shapes = _tensor_shapes(num_items, d, variant)
-    kwargs = {name: np.zeros(shape) for name, shape in shapes.items()}
-    params = ModelParams(**kwargs)
+    params = ModelParams(np.zeros(sum(math.prod(shape) for shape in shapes.values())), shapes)
     if emb is not None:
         params.emb[:] = emb
     return params

@@ -11,11 +11,15 @@ from casif import (
     Checkpoint,
     HyperParams,
     ItemVocabulary,
+    ModelParams,
     PrefixExample,
     ProcessedDataset,
     TrainConfig,
     TrainingError,
     adam_step,
+    backward_batch,
+    finite_difference_grad,
+    forward_batch,
     init_params,
     load_checkpoint,
     lr_for_epoch,
@@ -190,10 +194,16 @@ class TestFlatLayout:
         assert all(np.shares_memory(arr, flat) for _, arr in tensors)
 
     def test_params_and_gradients_are_views_of_flat(self, variant):
-        params = init_params(5, HyperParams(d=3, variant=variant), seed=1)
+        hp = HyperParams(d=3, variant=variant)
+        params = init_params(5, hp, seed=1)
+        examples = [PrefixExample([1, 2], 3)]
+        assert type(backward_batch(forward_batch(examples, params, hp), params, hp)) is type(params)
+        assert type(finite_difference_grad(examples, params, hp)) is type(params)
+        assert ModelParams(params.flat, params.shapes()).flat is params.flat
         assert params.flat.dtype == np.float64
         self.assert_tiles(params.flat, params.tensors())
         grads = zero_gradients(params)
+        assert type(grads) is type(params)
         assert list(grads) == list(params.tensor_names())
         self.assert_tiles(grads.flat, list(grads.items()))
 
@@ -218,6 +228,7 @@ class TestFlatLayout:
         hp = HyperParams(d=3, variant=variant)
         params = init_params(5, hp, seed=1)
         adam = AdamState.fresh(params)
+        assert type(adam.moment1) is type(params) and type(adam.moment2) is type(params)
         adam.moment1.flat[:] = 0.5
         path = tmp_path / "flat.ckpt"
         save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=adam, epoch=0, rng_seed=0))
@@ -227,6 +238,7 @@ class TestFlatLayout:
         assert np.array_equal(back.params.flat, params.flat)
         self.assert_tiles(back.params.flat, back.params.tensors())
         for moment in (back.adam.moment1, back.adam.moment2):
+            assert type(moment) is type(back.params)
             self.assert_tiles(moment.flat, list(moment.items()))
 
 
