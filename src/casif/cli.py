@@ -2,8 +2,10 @@
 
 Subcommands: preprocess, train, evaluate, predict, gradcheck, synth.
 A JSON config file (--config, or the CASIF_CONFIG environment variable)
-supplies defaults; flags override it.  Exit codes: 0 success, 1 usage or
-configuration error, 2 data error, 3 verification failure.
+supplies defaults; flags override it.  Every flag that sets a dataclass
+field is built from that field, and the dataclass checks its value.
+Exit codes: 0 success, 1 usage or configuration error, 2 data error,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -11,15 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import config as config_mod
 from . import corpus, evaluation, synth, trainer
 from .errors import ConfigError, DataError, VerificationError
 from .graph import build_session_graph
-from .model import CURRENT_INTEREST_INPUTS, LOSS_VARIANTS, VARIANTS, forward, run_gradient_check
+from .model import VARIANTS, HyperParams, forward, run_gradient_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -28,6 +31,11 @@ EXIT_VERIFY = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1e-4 as an option; a negative number is a value in any form
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors by default; our contract says 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -38,6 +46,19 @@ def _provenance(command: str, cfg: dict, **extra) -> dict:
     block = {"command": command, "config": {k: cfg[k] for k in sorted(cfg)}}
     block.update(extra)
     return block
+
+
+def _add_field_flags(parser, cls) -> None:
+    """One flag per field with a default: its name, its annotation's first type, default None."""
+    types = config_mod.field_types(cls)
+    for f in fields(cls):
+        if f.default is MISSING:
+            continue
+        flag = "--strict" if f.name == "strict_parse" else "--" + f.name.replace("_", "-")
+        if types[f.name][0] is bool:
+            parser.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, dest=f.name, type=types[f.name][0])
 
 
 def _config(args) -> dict:
@@ -52,8 +73,8 @@ def _config(args) -> dict:
 
 def cmd_preprocess(args) -> int:
     cfg = _config(args)
-    fmt = config_mod.log_format(cfg)
-    settings = config_mod.preprocess_config(cfg)
+    fmt = config_mod.from_config(corpus.LogFormat, cfg)
+    settings = config_mod.from_config(corpus.PreprocessConfig, cfg)
     in_path = Path(args.input)
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
@@ -113,7 +134,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    tc = config_mod.train_config(cfg)
+    tc = config_mod.from_config(trainer.TrainConfig, cfg, hp=config_mod.from_config(HyperParams, cfg))
     ds = corpus.load_dataset(args.dataset)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
 
@@ -260,19 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="raw click log -> processed dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--delimiter")
-    p.add_argument("--has-header", action="store_const", const=True, default=None)
-    p.add_argument("--session-col", type=int)
-    p.add_argument("--time-col", type=int)
-    p.add_argument("--item-col", type=int)
-    p.add_argument("--min-item-support", type=int)
-    p.add_argument("--min-session-len", type=int)
-    p.add_argument("--max-session-len", type=int)
-    p.add_argument("--test-window-ms", type=int)
-    p.add_argument("--split-ts", type=int)
-    p.add_argument("--fraction", help="most-recent fraction of train sessions, e.g. 1/64")
-    p.add_argument("--strict", dest="strict_parse", action="store_const", const=True,
-                   help="abort on the first malformed line")
+    _add_field_flags(p, corpus.LogFormat)
+    _add_field_flags(p, corpus.PreprocessConfig)
     p.add_argument("--dump-graphs", action="store_true", help="also write per-example session graphs")
     p.set_defaults(func=cmd_preprocess)
 
@@ -281,18 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--log-out")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--d", type=int)
-    p.add_argument("--gnn-steps", type=int)
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--loss-variant", choices=LOSS_VARIANTS)
-    p.add_argument("--current-interest-input", choices=CURRENT_INTEREST_INPUTS)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--lr-decay-factor", type=float)
-    p.add_argument("--lr-decay-every", type=int)
-    p.add_argument("--l2-lambda", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    _add_field_flags(p, HyperParams)
+    _add_field_flags(p, trainer.TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank metrics for a checkpoint or baseline")
@@ -320,13 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic raw click log")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=synth.MODES)
-    p.add_argument("--num-items", type=int)
-    p.add_argument("--num-sessions", type=int)
-    p.add_argument("--min-len", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--branching", type=int)
-    p.add_argument("--seed", type=int)
+    _add_field_flags(p, synth.SynthSpec)
     p.set_defaults(func=cmd_synth)
 
     return parser

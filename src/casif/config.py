@@ -3,11 +3,13 @@
 The config file is JSON with the keys below (all optional).  The fields
 of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``),
 ``LogFormat`` (raw log layout) and ``PreprocessConfig`` (the settings of
-``corpus.preprocess``) declare every key: a field's name is the key and
-its default the key's default.  CLI flags, whose ``dest`` is the key,
-override file values.  Unknown keys are rejected so a typo cannot
-silently fall back to a default.  Every command echoes the effective
-configuration into its outputs' provenance blocks.
+``corpus.preprocess``) declare every key: a field's name is the key, its
+default the key's default and its annotation the types the key accepts.
+CLI flags, whose ``dest`` is the key, override file values.  Unknown keys
+are rejected so a typo cannot silently fall back to a default; allowed
+values are checked by the dataclass that ``from_config`` builds.  Every
+command echoes the effective configuration into its outputs' provenance
+blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import MISSING, fields
+from typing import get_args, get_type_hints
 
 from .corpus import LogFormat, PreprocessConfig
 from .errors import ConfigError
@@ -28,9 +31,15 @@ _DECLARED = (HyperParams, TrainConfig, LogFormat, PreprocessConfig)   # model, t
 # TrainConfig.hp has a default factory, not a default, so it is no key
 DEFAULTS = {f.name: f.default for cls in _DECLARED for f in fields(cls) if f.default is not MISSING}
 
-# each key takes its default's type (a float key also takes an int), bar two wider ones
-_TYPES = {key: (int, float) if isinstance(value, float) else type(value) for key, value in DEFAULTS.items()}
-_TYPES.update(split_ts=(int, type(None)), fraction=(str, int, float))
+
+def field_types(cls) -> dict:
+    """Each field's annotated types, in order: ``int | None`` gives ``(int, NoneType)``."""
+    return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+
+
+# each key takes its field's annotated types; a float key also takes an int
+_TYPES = {key: (int, float) if types == (float,) else types
+          for cls in _DECLARED for key, types in field_types(cls).items() if key in DEFAULTS}
 
 
 def load_config_file(path) -> dict:
@@ -58,45 +67,24 @@ def effective_config(config_path=None, overrides=None) -> dict:
     """
     cfg = dict(DEFAULTS)
     path = config_path or os.environ.get(ENV_CONFIG)
-    if path:
-        for key, value in load_config_file(path).items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = value
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
+    given = load_config_file(path) if path else {}
+    given.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    for key, value in given.items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = value
     for key, expected in _TYPES.items():
         value = cfg[key]
-        if isinstance(value, bool) and expected is not bool:    # JSON true is no number
+        if isinstance(value, bool) and bool not in expected:    # JSON true is no number
             raise ConfigError(f"config key {key!r} must not be a boolean, got {value!r}")
         if not isinstance(value, expected):
             raise ConfigError(f"config key {key!r} has wrong type: {value!r}")
     return cfg
 
 
-def _from_config(cls, cfg: dict, **given):
+def from_config(cls, cfg: dict, **given):
     """``cls`` with each field not ``given`` read from its key; a float field takes float(...) of an int."""
     for f in fields(cls):
         if f.name not in given:
             given[f.name] = float(cfg[f.name]) if isinstance(f.default, float) else cfg[f.name]
     return cls(**given)
-
-
-def hyper_params(cfg: dict) -> HyperParams:
-    return _from_config(HyperParams, cfg)
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    return _from_config(TrainConfig, cfg, hp=hyper_params(cfg))
-
-
-def log_format(cfg: dict) -> LogFormat:
-    return _from_config(LogFormat, cfg)
-
-
-def preprocess_config(cfg: dict) -> PreprocessConfig:
-    return _from_config(PreprocessConfig, cfg)

@@ -114,13 +114,13 @@ class LogFormat:
 @dataclass
 class PreprocessConfig:
     """Settings of the preprocessing recipe (see preprocess)."""
-    strict_parse: bool = False          # abort on the first malformed line instead of skipping it
     min_item_support: int = 5
     min_session_len: int = 2
     max_session_len: int = 50
     test_window_ms: int = 86_400_000    # hold out the trailing day by default
     split_ts: int | None = None         # absolute override of the time split
     fraction: str | int | float = "1"   # most-recent fraction of train sessions kept
+    strict_parse: bool = False          # abort on the first malformed line instead of skipping it
 
     def __post_init__(self):
         _check_session_lengths(self.min_session_len, self.max_session_len)

@@ -32,13 +32,13 @@ MODES = ("markov", "functional")
 
 @dataclass
 class SynthSpec:
+    mode: str = "markov"
     num_items: int = 50
     num_sessions: int = 1000
     min_len: int = 2
     max_len: int = 10
-    mode: str = "markov"
-    seed: int = 0
     branching: int = 3   # markov: preferred successors per item
+    seed: int = 0
 
     def __post_init__(self):
         if self.num_items < 1:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -216,13 +217,24 @@ class TestExitCodes:
         assert rc == 3
         assert "gradcheck FAILED" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-4"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-4", *(
+        pytest.param(("--tolerance", value), id=f"{value} separate") for value in ("-1e-4", "-1E+3", "-.5e-2"))])
     def test_unusable_gradcheck_tolerance_is_config_error(self, capsys, tolerance):
-        rc = main(["gradcheck", "--cases", "0", f"--tolerance={tolerance}"])
+        # a tuple passes the value as its own argument after the flag
+        args = list(tolerance) if isinstance(tolerance, tuple) else [f"--tolerance={tolerance}"]
+        rc = main(["gradcheck", "--cases", "0", *args])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "tolerance" in captured.err
+
+    def test_negative_lr0_in_exponent_form_is_its_own_config_error(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["train", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                   "--checkpoint-out", str(ckpt), "--lr0", "-1e-3"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: lr0 must be finite and positive, got -0.001\n"
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("cases", ["-8", "-3"])
     def test_negative_gradcheck_cases_is_config_error(self, capsys, cases):
@@ -489,6 +501,33 @@ class TestNotUtf8:
         proc = self.run("--config", str(cfg), "preprocess", "--input", str(pipeline["raw"]),
                         "--out-dir", str(tmp_path / "d"))
         self.check(proc, 1, cfg)
+
+
+class TestBlasThreadCount:
+    """Bit-identity holds for a fixed BLAS thread count; 1 and 2 threads may differ."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("blas")
+        raw = root / "raw.csv"
+        assert main(["synth", "--out", str(raw), "--num-items", "1400", "--num-sessions", "600",
+                     "--seed", "3"]) == 0
+        assert main(["preprocess", "--input", str(raw), "--out-dir", str(root),
+                     "--min-item-support", "1", "--test-window-ms", "3600000"]) == 0
+        return root / "dataset.jsonl"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_same_seed_same_bytes(self, dataset, tmp_path, threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        runs = []
+        for run in range(2):
+            ckpt = tmp_path / f"run{run}.ckpt"
+            subprocess.run([sys.executable, "-m", "casif.cli", "train", "--dataset", str(dataset),
+                            "--checkpoint-out", str(ckpt), "--d", "32", "--batch-size", "100",
+                            "--epochs", "1", "--seed", "3"],
+                           env=env, check=True, capture_output=True)
+            runs.append(ckpt.read_bytes())
+        assert runs[0] == runs[1]
 
 
 class TestDumpGraphs:

@@ -10,7 +10,8 @@ import pytest
 from casif.cli import build_parser, main
 from casif.config import DEFAULTS, effective_config
 from casif.errors import ConfigError
-from casif.synth import BASE_TIME_MS, SESSION_GAP_MS
+from casif.model import HyperParams
+from casif.synth import BASE_TIME_MS, SESSION_GAP_MS, SynthSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -159,3 +160,37 @@ def test_flag_sets_its_key(inputs, tmp_path, key):
             provenance = json.loads(fh.readline())["provenance"]
     assert provenance["config"] == {**DEFAULTS, **others, key: value}
     assert type(provenance["config"][key]) is type(value)
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+def test_help_names_every_option(capsys, command):
+    argv = ["--help"] if command == "casif" else [command, "--help"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(option in out for option in OPTION_STRINGS[command])
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", ["variant", "loss_variant", "current_interest_input"])
+def test_bad_model_choice_is_the_dataclass_error(tmp_path, capsys, key, source):
+    """The same one-line error from a flag or the config file, before the dataset is read."""
+    with pytest.raises(ConfigError) as expected:
+        HyperParams(**{key: "bogus"})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "bogus"} if source == "file" else {}))
+    flag = ["--" + key.replace("_", "-"), "bogus"] if source == "flag" else []
+    rc = main(["--config", str(cfg), "train", "--dataset", str(tmp_path / "missing.jsonl"),
+               "--checkpoint-out", str(tmp_path / "m.ckpt"), *flag])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_bad_synth_mode_is_the_dataclass_error(tmp_path, capsys):
+    with pytest.raises(ConfigError) as expected:
+        SynthSpec(mode="bogus")
+    assert main(["synth", "--out", str(tmp_path / "raw.csv"), "--mode", "bogus"]) == 1
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert list(tmp_path.iterdir()) == []
