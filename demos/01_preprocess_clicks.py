@@ -74,5 +74,5 @@ for ex in ds.train:
 
 demo_session = test_sessions[0]
 print(f"\na test session {demo_session.items} expands the same way:")
-for ex in expand_prefixes(demo_session):
+for ex in expand_prefixes(demo_session.items):
     print(f"  {ex.prefix} -> {ex.label}")

@@ -10,7 +10,7 @@ click logs; `cli` ties it together as a command-line tool.
 
 import ctypes
 
-from .config import DEFAULTS, effective_config, from_config
+from .config import DEFAULTS, load_config_file, settings
 from .corpus import (
     ClickColumns,
     ItemVocabulary,

@@ -2,8 +2,10 @@
 
 Subcommands: preprocess, train, evaluate, predict, gradcheck, synth.
 A JSON config file (--config, or the CASIF_CONFIG environment variable)
-supplies defaults; flags override it.  Every flag that sets a dataclass
-field is built from that field, and the dataclass checks its value.
+supplies values and flags override it: so ``_settings`` builds each settings
+dataclass of preprocess, train and synth, and the dataclass checks them.
+Every flag that sets a field is built from it, and every provenance block
+records the fields of the dataclasses its command ran with.
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 verification failure.
 """
@@ -13,10 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import config as config_mod
 from . import corpus, evaluation, synth, trainer
@@ -42,29 +47,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _provenance(command: str, cfg: dict, **extra) -> dict:
-    block = {"command": command, "config": {k: cfg[k] for k in sorted(cfg)}}
-    block.update(extra)
-    return block
+def _provenance(command: str, *dataclasses, **extra) -> dict:
+    """The command, the sorted keys (fields with a default) of the dataclasses it ran with, and ``extra``."""
+    config = {f.name: getattr(dc, f.name) for dc in dataclasses for f in fields(dc)
+              if f.default is not MISSING}
+    return {"command": command, "config": dict(sorted(config.items())), **extra}
+
+
+def _machine() -> dict:
+    """What a run's speed and bits depend on: numpy, its BLAS, the thread variables, the CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # a numpy whose show_config only prints, or names no BLAS
+        blas = {}
+    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "cpu_count": os.cpu_count(), **threads}
 
 
 def _add_field_flags(parser, cls) -> None:
-    """One flag per field with a default: its name, its annotation's first type, default None."""
+    """One flag per field with a default: its name (and --no-name if a bool), its first type, default None."""
     types = config_mod.field_types(cls)
     for f in fields(cls):
         if f.default is MISSING:
             continue
         flag = "--strict" if f.name == "strict_parse" else "--" + f.name.replace("_", "-")
         if types[f.name][0] is bool:
-            parser.add_argument(flag, dest=f.name, action="store_const", const=True)
+            parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
         else:
             parser.add_argument(flag, dest=f.name, type=types[f.name][0])
 
 
-def _config(args) -> dict:
-    """The effective config: every parsed flag whose dest is a config key overrides it."""
-    return config_mod.effective_config(
-        args.config, {k: v for k, v in vars(args).items() if k in config_mod.DEFAULTS})
+def _settings(args, cls, **fixed):
+    """``cls`` from the config file, overridden by every flag given; ``fixed`` fields as given."""
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    return config_mod.settings(cls, {**config_mod.load_config_file(args.config), **flags}, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +89,13 @@ def _config(args) -> dict:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _config(args)
-    fmt = config_mod.from_config(corpus.LogFormat, cfg)
-    settings = config_mod.from_config(corpus.PreprocessConfig, cfg)
+    fmt = _settings(args, corpus.LogFormat)
+    settings = _settings(args, corpus.PreprocessConfig)
     in_path = Path(args.input)
     if not in_path.exists():
         raise DataError(f"input file not found: {in_path}")
 
-    provenance = _provenance("preprocess", cfg, input=str(in_path))
+    provenance = _provenance("preprocess", fmt, settings, input=str(in_path))
     # surrogateescape: a line that is not UTF-8 is one malformed line, not an aborted read
     with open(in_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
@@ -112,18 +128,13 @@ def cmd_preprocess(args) -> int:
             for split, examples in (("train", ds.train), ("test", ds.test)):
                 for ex in examples:
                     g = build_session_graph(ex.prefix)
-                    fh.write(json.dumps({
-                        "split": split, "prefix": ex.prefix, "nodes": g.nodes,
-                        "alias": g.alias.tolist(),
-                        "m_in": [float(x) for x in g.m_in.reshape(-1)],
-                        "m_out": [float(x) for x in g.m_out.reshape(-1)],
-                    }) + "\n")
+                    fh.write(json.dumps({"split": split, "prefix": ex.prefix, "nodes": g.nodes,
+                                         "alias": g.alias.tolist(), "m_in": g.m_in.reshape(-1).tolist(),
+                                         "m_out": g.m_out.reshape(-1).tolist()}) + "\n")
 
-    for key in ("clicks", "train_sessions", "test_sessions", "items"):
-        print(f"{key:<16}{stats[key]}")
-    print(f"{'average_length':<16}{stats['average_length']:.2f}")
-    print(f"{'train_examples':<16}{stats['train_examples']}")
-    print(f"{'test_examples':<16}{stats['test_examples']}")
+    for key in ("clicks", "train_sessions", "test_sessions", "items", "average_length",
+                "train_examples", "test_examples"):
+        print(f"{key:<16}{stats[key]:{'.2f' if key == 'average_length' else ''}}")
     print(f"wrote {dataset_path}")
     return EXIT_OK
 
@@ -133,25 +144,26 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config(args)
-    tc = config_mod.from_config(trainer.TrainConfig, cfg, hp=config_mod.from_config(HyperParams, cfg))
+    tc = _settings(args, trainer.TrainConfig, hp=_settings(args, HyperParams))
     ds = corpus.load_dataset(args.dataset)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
+    if resume:
+        # a resumed run takes its model settings and seed from the checkpoint
+        tc = replace(tc, hp=resume.hp, seed=resume.rng_seed)
 
     result = trainer.train(ds, tc, resume=resume)
     trainer.save_checkpoint(args.checkpoint_out, result.checkpoint)
-    # a resumed run takes its model settings and seed from the checkpoint
-    cfg.update(asdict(result.checkpoint.hp), seed=result.checkpoint.rng_seed)
 
     log_path = args.log_out or f"{args.checkpoint_out}.log.jsonl"
-    provenance = _provenance("train", cfg, dataset=str(args.dataset), resumed_from=args.resume)
+    provenance = _provenance("train", tc.hp, tc, dataset=str(args.dataset), resumed_from=args.resume,
+                             machine=_machine())
     with open(log_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
         for log in result.epoch_logs:
             fh.write(json.dumps(log.record(), sort_keys=True) + "\n")
 
-    print(f"config: d={cfg['d']} batch={cfg['batch_size']} lr0={cfg['lr0']} "
-          f"variant={cfg['variant']} loss={cfg['loss_variant']} epochs={cfg['epochs']} seed={cfg['seed']}")
+    print(f"config: d={tc.hp.d} batch={tc.batch_size} lr0={tc.lr0} "
+          f"variant={tc.hp.variant} loss={tc.hp.loss_variant} epochs={tc.epochs} seed={tc.seed}")
     for log in result.epoch_logs:
         print(f"epoch {log.epoch:>3}  lr {log.lr:.6g}  mean_loss {log.mean_loss:.6f}")
     print(f"wrote {args.checkpoint_out}")
@@ -173,7 +185,6 @@ def _parse_ks(text: str):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config(args)
     ks = _parse_ks(args.ks)
     ds = corpus.load_dataset(args.dataset)
     examples = ds.train if args.split == "train" else ds.test
@@ -182,7 +193,7 @@ def cmd_evaluate(args) -> int:
 
     if args.baseline == "pop":
         report = evaluation.pop_baseline(ds.train, examples, ds.num_items, ks=ks)
-        source = "baseline:pop"
+        source, model = "baseline:pop", ()
     else:
         if not args.checkpoint:
             raise ConfigError("evaluate needs --checkpoint unless --baseline pop is given")
@@ -192,12 +203,12 @@ def cmd_evaluate(args) -> int:
                 f"checkpoint has {ckpt.num_items} items but dataset has {ds.num_items}; "
                 "they do not belong together")
         report = evaluation.evaluate_model(ckpt.params, ckpt.hp, examples, ks=ks)
-        source = str(args.checkpoint)
+        source, model = str(args.checkpoint), (ckpt.hp,)
 
     buckets = evaluation.BUCKETS if args.split_length else ("all",)
     if args.out:
-        provenance = _provenance("evaluate", cfg, dataset=str(args.dataset),
-                                 source=source, split=args.split, ks=list(ks))
+        provenance = _provenance("evaluate", *model, dataset=str(args.dataset), source=source,
+                                 split=args.split, ks=list(ks), machine=_machine())
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"provenance": provenance, "metrics": report.records(buckets)},
                       fh, indent=2, sort_keys=True)
@@ -256,13 +267,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    # a flag left out keeps SynthSpec's default
-    spec = synth.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(synth.SynthSpec)
-                              if getattr(args, f.name) is not None})
+    spec = _settings(args, synth.SynthSpec)
     sessions = synth.generate_sessions(spec)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         clicks = synth.write_click_log(sessions, fh)
     print(f"wrote {clicks} clicks / {len(sessions)} sessions to {out}")

@@ -1,15 +1,13 @@
-"""Config file handling: documented keys, strict validation, flag overrides.
+"""Config file handling: documented keys, settings dataclasses from given values, strict validation.
 
-The config file is JSON with the keys below (all optional).  The fields
-of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``),
-``LogFormat`` (raw log layout) and ``PreprocessConfig`` (the settings of
-``corpus.preprocess``) declare every key: a field's name is the key, its
+The fields of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``),
+``LogFormat`` (raw log layout) and ``PreprocessConfig`` (``corpus.preprocess``)
+declare every key of the JSON config file: a field's name is the key, its
 default the key's default and its annotation the types the key accepts.
-CLI flags, whose ``dest`` is the key, override file values.  Unknown keys
-are rejected so a typo cannot silently fall back to a default; allowed
-values are checked by the dataclass that ``from_config`` builds.  Every
-command echoes the effective configuration into its outputs' provenance
-blocks.
+``settings`` builds a dataclass from given values, such as a config file
+overridden by CLI flags, and the dataclass checks them.  ``load_config_file``
+checks every key of the file, so a typo or a bad value fails each command
+that reads it instead of silently falling back to a default.
 """
 
 from __future__ import annotations
@@ -37,12 +35,30 @@ def field_types(cls) -> dict:
     return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
 
 
-# each key takes its field's annotated types; a float key also takes an int
-_TYPES = {key: (int, float) if types == (float,) else types
-          for cls in _DECLARED for key, types in field_types(cls).items() if key in DEFAULTS}
+def settings(cls, given: dict, **fixed):
+    """``cls`` with each field not ``fixed`` read from ``given`` unless None, in its annotated types.
+
+    A float field takes float(...) of an int; no number field takes a boolean.
+    """
+    for key, types in field_types(cls).items():
+        value = given.get(key)
+        if key in fixed or value is None:
+            continue
+        if isinstance(value, bool) and bool not in types:    # JSON true is no number
+            raise ConfigError(f"config key {key!r} must not be a boolean, got {value!r}")
+        if types == (float,) and isinstance(value, int):
+            value = float(value)
+        if not isinstance(value, types):
+            raise ConfigError(f"config key {key!r} has wrong type: {value!r}")
+        fixed[key] = value
+    return cls(**fixed)
 
 
-def load_config_file(path) -> dict:
+def load_config_file(path=None) -> dict:
+    """The keys of ``path``, else of $CASIF_CONFIG, else {}; each must be known and valid."""
+    path = path or os.environ.get(ENV_CONFIG)
+    if not path:
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -56,35 +72,9 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return raw
-
-
-def effective_config(config_path=None, overrides=None) -> dict:
-    """DEFAULTS, updated by the config file, updated by CLI overrides.
-
-    The file path falls back to the CASIF_CONFIG environment variable.
-    Unknown keys and wrong types are configuration errors.
-    """
-    cfg = dict(DEFAULTS)
-    path = config_path or os.environ.get(ENV_CONFIG)
-    given = load_config_file(path) if path else {}
-    given.update((key, value) for key, value in (overrides or {}).items() if value is not None)
-    for key, value in given.items():
+    for key in raw:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = value
-    for key, expected in _TYPES.items():
-        value = cfg[key]
-        if isinstance(value, bool) and bool not in expected:    # JSON true is no number
-            raise ConfigError(f"config key {key!r} must not be a boolean, got {value!r}")
-        if not isinstance(value, expected):
-            raise ConfigError(f"config key {key!r} has wrong type: {value!r}")
-    return cfg
-
-
-def from_config(cls, cfg: dict, **given):
-    """``cls`` with each field not ``given`` read from its key; a float field takes float(...) of an int."""
-    for f in fields(cls):
-        if f.name not in given:
-            given[f.name] = float(cfg[f.name]) if isinstance(f.default, float) else cfg[f.name]
-    return cls(**given)
+    for cls in _DECLARED:
+        settings(cls, raw)
+    return raw

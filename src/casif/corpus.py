@@ -86,8 +86,8 @@ class ProcessedDataset:
     test: list[PrefixExample] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.train = [ex for items in self.train_sessions for ex in expand_prefixes(Session(items))]
-        self.test = [ex for items in self.test_sessions for ex in expand_prefixes(Session(items))]
+        self.train = [ex for items in self.train_sessions for ex in expand_prefixes(items)]
+        self.test = [ex for items in self.test_sessions for ex in expand_prefixes(items)]
 
     @property
     def num_items(self) -> int:
@@ -302,9 +302,9 @@ def _as_fraction(fraction) -> Fraction:
     return frac
 
 
-def expand_prefixes(session: Session) -> list[PrefixExample]:
+def expand_prefixes(items) -> list[PrefixExample]:
     """All (items[:k], items[k]) pairs for k = 1 .. n-1; empty when n < 2."""
-    items = list(session.items)     # a list, so each slice is a new list
+    items = list(items)     # a list, so each slice is a new list
     return [PrefixExample(items[:k], items[k]) for k in range(1, len(items))]
 
 

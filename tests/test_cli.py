@@ -5,10 +5,12 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
-from casif import SynthSpec, generate_sessions, write_click_log
+from casif import HyperParams, TrainConfig, SynthSpec, generate_sessions, write_click_log
 from casif.cli import main
 
 
@@ -111,6 +113,90 @@ class TestPipeline:
         assert len(rows) == 3
         scores = [float(r.split("\t")[1]) for r in rows]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestSettings:
+    """Each command's provenance records the settings it ran with, from the file and flags alike."""
+
+    def test_evaluate_records_the_checkpoint_model(self, pipeline, tmp_path):
+        out = tmp_path / "metrics.json"
+        assert main(["evaluate", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--checkpoint", str(pipeline["ckpt"]), "--ks", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["config"] == asdict(HyperParams(d=8))
+
+    def test_pop_baseline_records_no_model(self, pipeline, tmp_path):
+        out = tmp_path / "metrics.json"
+        assert main(["evaluate", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--baseline", "pop", "--ks", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["config"] == {}
+
+    def test_train_log_records_training_keys_only(self, pipeline):
+        with open(f"{pipeline['ckpt']}.log.jsonl") as fh:
+            config = json.loads(fh.readline())["provenance"]["config"]
+        keys = {f.name for cls in (HyperParams, TrainConfig) for f in fields(cls)} - {"hp"}
+        assert set(config) == keys and "min_item_support" not in config
+        assert (config["d"], config["epochs"]) == (8, 2)
+
+    def test_train_and_evaluate_record_the_machine(self, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--checkpoint-out", str(ckpt), "--d", "4", "--epochs", "1"]) == 0
+        with open(f"{ckpt}.log.jsonl") as fh:
+            machine = json.loads(fh.readline())["provenance"]["machine"]
+        assert machine["OPENBLAS_NUM_THREADS"] == "1" and machine["numpy"] == np.__version__
+        out = tmp_path / "metrics.json"
+        assert main(["evaluate", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--checkpoint", str(ckpt), "--ks", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["machine"] == machine
+
+    def test_preprocess_records_no_machine(self, pipeline):
+        stats = json.loads((pipeline["data"] / "stats.json").read_text())
+        assert "machine" not in stats["provenance"]
+
+    def test_synth_reads_seed_from_the_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 5}')
+        by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert main(["--config", str(cfg), "synth", "--out", str(by_file), "--num-sessions", "50"]) == 0
+        assert main(["synth", "--out", str(by_flag), "--num-sessions", "50", "--seed", "5"]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    def test_synth_with_missing_config_file_is_config_error(self, tmp_path, capsys):
+        rc = main(["--config", str(tmp_path / "missing.json"), "synth", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "cannot read config" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_rejects_its_own_fields_in_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"num_items": 5}')
+        assert main(["--config", str(cfg), "synth", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unknown config key 'num_items'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_no_strict_turns_off_a_strict_config_file(self, pipeline, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"strict_parse": true}')
+        monkeypatch.setenv("CASIF_CONFIG", str(cfg))
+        raw = tmp_path / "raw.csv"
+        lines = pipeline["raw"].read_text().splitlines(keepends=True)
+        raw.write_text("".join([lines[0], "broken\n", *lines[1:]]))
+        assert main(["preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "strict"),
+                     "--min-item-support", "2"]) == 2
+        out_dir = tmp_path / "lenient"
+        assert main(["preprocess", "--input", str(raw), "--out-dir", str(out_dir),
+                     "--min-item-support", "2", "--no-strict"]) == 0
+        stats = json.loads((out_dir / "stats.json").read_text())
+        assert stats["stats"]["skipped_lines"] == 1 and stats["provenance"]["config"]["strict_parse"] is False
+
+    def test_bad_value_in_the_config_file_fails_every_reader(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min_session_len": 0}')
+        rc = main(["--config", str(cfg), "train", "--dataset", str(tmp_path / "missing.jsonl"),
+                   "--checkpoint-out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: min_session_len must be >= 1, got 0\n"
 
 
 class TestExitCodes:

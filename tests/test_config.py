@@ -3,14 +3,17 @@
 import argparse
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from casif.cli import build_parser, main
-from casif.config import DEFAULTS, effective_config
+from casif.config import DEFAULTS, load_config_file
+from casif.corpus import LogFormat, PreprocessConfig
 from casif.errors import ConfigError
 from casif.model import HyperParams
+from casif.trainer import TrainConfig
 from casif.synth import BASE_TIME_MS, SESSION_GAP_MS, SynthSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,9 +50,10 @@ DOCUMENTED_DEFAULTS = {
 OPTION_STRINGS = {
     "casif": ["-h", "--help", "--config"],
     "preprocess": ["-h", "--help", "--input", "--out-dir", "--delimiter", "--has-header",
-                   "--session-col", "--time-col", "--item-col", "--min-item-support",
-                   "--min-session-len", "--max-session-len", "--test-window-ms", "--split-ts",
-                   "--fraction", "--strict", "--dump-graphs"],
+                   "--no-has-header", "--session-col", "--time-col", "--item-col",
+                   "--min-item-support", "--min-session-len", "--max-session-len",
+                   "--test-window-ms", "--split-ts", "--fraction", "--strict", "--no-strict",
+                   "--dump-graphs"],
     "train": ["-h", "--help", "--dataset", "--checkpoint-out", "--log-out", "--resume", "--d",
               "--gnn-steps", "--variant", "--loss-variant", "--current-interest-input",
               "--batch-size", "--lr0", "--lr-decay-factor", "--lr-decay-every", "--l2-lambda",
@@ -93,6 +97,11 @@ FLAGS = {
     "seed": ("train", ["--seed", "7"], 7),
 }
 
+# the dataclasses each command runs with: its provenance records their keys
+COMMAND_KEYS = {command: {f.name for cls in classes for f in fields(cls) if f.name in DEFAULTS}
+                for command, classes in (("preprocess", (LogFormat, PreprocessConfig)),
+                                         ("train", (HyperParams, TrainConfig)))}
+
 # train runs small unless the flag under test sets one of these
 TRAIN_BASE = {"d": 4, "epochs": 1}
 
@@ -123,7 +132,7 @@ def test_boolean_rejected_by_non_boolean_key(tmp_path, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError, match=key):
-        effective_config(cfg)
+        load_config_file(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +167,8 @@ def test_flag_sets_its_key(inputs, tmp_path, key):
                      "--checkpoint-out", str(ckpt), *base, *flag_args]) == 0
         with open(f"{ckpt}.log.jsonl") as fh:
             provenance = json.loads(fh.readline())["provenance"]
-    assert provenance["config"] == {**DEFAULTS, **others, key: value}
+    defaults = {k: v for k, v in DEFAULTS.items() if k in COMMAND_KEYS[command]}
+    assert provenance["config"] == {**defaults, **others, key: value}
     assert type(provenance["config"][key]) is type(value)
 
 

@@ -304,12 +304,12 @@ class TestPreprocess:
 
 class TestPrefixExpansion:
     def test_each_prefix_labelled_with_next(self):
-        got = expand_prefixes(Session(items=[3, 1, 4, 1], start_time=0))
+        got = expand_prefixes([3, 1, 4, 1])
         assert [(e.prefix, e.label) for e in got] == [
             ([3], 1), ([3, 1], 4), ([3, 1, 4], 1)]
 
     def test_short_session_yields_nothing(self):
-        assert expand_prefixes(Session(items=[7], start_time=0)) == []
+        assert expand_prefixes([7]) == []
 
 
 class TestVocabAndReindex:
