@@ -4,6 +4,7 @@ Subcommands: preprocess, train, evaluate, predict, gradcheck, synth.
 A JSON config file (--config, or the CASIF_CONFIG environment variable)
 supplies values and flags override it: so ``_settings`` builds each settings
 dataclass of preprocess, train and synth, and the dataclass checks them.
+Every command reads and checks the file, also those that take no key from it.
 Every flag that sets a field is built from it, and every provenance block
 records the fields of the dataclasses its command ran with.
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
@@ -79,9 +80,9 @@ def _add_field_flags(parser, cls) -> None:
 
 
 def _settings(args, cls, **fixed):
-    """``cls`` from the config file, overridden by every flag given; ``fixed`` fields as given."""
+    """``cls`` from the config file's keys, overridden by every flag given; ``fixed`` fields as given."""
     flags = {k: v for k, v in vars(args).items() if v is not None}
-    return config_mod.settings(cls, {**config_mod.load_config_file(args.config), **flags}, **fixed)
+    return config_mod.settings(cls, {**args.config_keys, **flags}, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.config_keys = config_mod.load_config_file(args.config)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

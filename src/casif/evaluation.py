@@ -120,9 +120,9 @@ def evaluate_model(params: ModelParams, hp: HyperParams, examples, ks=DEFAULT_KS
         raise DataError("cannot evaluate on zero examples")
     ranks = np.empty(len(examples), dtype=np.int64)
     for rows in sub_batches(examples, params.num_items, hp):
-        chunk = [examples[i] for i in rows]
-        logits = forward_batch(chunk, params, hp).logits     # the rest of the trace is freed here
-        ranks[rows] = _label_ranks(logits, np.array([ex.label for ex in chunk]))
+        trace = forward_batch([examples[i] for i in rows], params, hp)
+        ranks[rows] = _label_ranks(trace.logits, trace.labels)    # the softmax is never read
+        del trace       # so that it is freed before the next sub-batch's forward pass
     return _report_from_ranks(ranks, [len(ex.prefix) for ex in examples], ks)
 
 

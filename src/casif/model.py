@@ -6,9 +6,11 @@ incoming/outgoing weight matrices, expansion back to session positions,
 an attention readout that conditions each position's score on the last
 click and the mean-pooled session context, two small tanh layers blending
 general and current interest, and a bilinear score against every item
-embedding followed by softmax.  The simplified variant ("casif_s")
-replaces the readout with a per-position attention that sees nothing but
-the position itself, and scores the attention context directly.
+embedding.  The simplified variant ("casif_s") replaces the readout with a
+per-position attention that sees nothing but the position itself, and
+scores the attention context directly.  The softmax over the scores and
+the loss run only when a caller first reads them: ranking needs only the
+scores, whose order the softmax keeps, so evaluation never computes it.
 
 The batch is padded to its largest graph, as in SR-GNN (Wu et al., AAAI
 2019): node states are (B, q, d), the adjacency matrices (B, q, q), and
@@ -228,7 +230,11 @@ class StepCache:
 
 @dataclass
 class BatchTrace:
-    """Everything one backward pass needs, cached from the forward pass of a padded batch."""
+    """Everything one backward pass needs, cached from the forward pass of a padded batch.
+
+    The forward pass ends at the logits.  The softmax and the loss pass run
+    when first read, so ranking, which needs only the logits, pays for neither.
+    """
     graphs: GraphBatch
     labels: np.ndarray         # (B,)
     loss_variant: str
@@ -241,11 +247,22 @@ class BatchTrace:
     att_context: np.ndarray    # attention-weighted context (B, d)
     blend: np.ndarray          # vectors scored against the embedding table (B, d)
     logits: np.ndarray         # (B, num_items)
-    log_probs: np.ndarray
-    probs: np.ndarray
     current_input: np.ndarray | None = None   # input of the current-interest layer
     general_state: np.ndarray | None = None   # tanh output, general interest
     current_state: np.ndarray | None = None   # tanh output, current interest
+
+    @cached_property
+    def _softmax(self):
+        return _softmax_with_log(self.logits)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Softmax of the logits (B, num_items); it and ``log_probs`` are computed together, when first read."""
+        return self._softmax[0]
+
+    @property
+    def log_probs(self) -> np.ndarray:
+        return self._softmax[1]
 
     @cached_property
     def _loss_pass(self):
@@ -265,7 +282,8 @@ class BatchTrace:
 @dataclass
 class ForwardTrace:
     """One example's forward pass: its batch of one, which has no padding, and that
-    row's logits and probabilities (num_items,); ``loss`` is computed when first read."""
+    row's logits and probabilities (num_items,); ``probs`` and ``loss`` are computed
+    when first read."""
     batch: BatchTrace
 
     @property
@@ -456,13 +474,11 @@ def forward_batch(examples, params: ModelParams, hp: HyperParams) -> BatchTrace:
         alpha, context, gate = casif_s_attention(h_pos, params)
         blend = context
 
-    logits = blend @ params.emb.T
-    probs, log_probs = _softmax_with_log(logits)
     return BatchTrace(
         graphs=graphs, labels=labels, loss_variant=hp.loss_variant, steps=caches,
         h_nodes=h_nodes, h_pos=h_pos, session_mean=mean,
         att_gate=gate, alpha=alpha, att_context=context, blend=blend,
-        logits=logits, log_probs=log_probs, probs=probs,
+        logits=blend @ params.emb.T,
         current_input=current_input, general_state=general_state, current_state=current_state,
     )
 

@@ -58,38 +58,39 @@ class SynthSpec:
 
 
 def generate_sessions(spec: SynthSpec) -> list[list[int]]:
-    """Item-index sessions for a generator description; deterministic in the seed."""
+    """Item-index sessions for a generator description; deterministic in the seed.
+
+    Each kind of draw is one call over all sessions, cut at each session's
+    offset: the stream is counter-based, so this gives the same values as
+    one call per session in session order.
+    """
     stream = SplitMix64(substream_seed(spec.seed, STREAM_SYNTH))
     lengths = spec.min_len + stream.integers(spec.num_sessions, spec.max_len - spec.min_len + 1)
 
     if spec.mode == "functional":
-        starts = stream.permutation(spec.num_items)[: spec.num_sessions]
-        sessions = []
-        for s in range(spec.num_sessions):
-            length = int(lengths[s])
-            rest = stream.integers(length - 1, spec.num_items)
-            sessions.append([int(starts[s])] + [int(i) for i in rest])
-        return sessions
+        starts = stream.permutation(spec.num_items)[: spec.num_sessions].tolist()
+        rest = stream.integers(int((lengths - 1).sum()), spec.num_items).tolist()
+        ends = np.cumsum(lengths - 1).tolist()
+        return [[start, *rest[end - length + 1:end]]
+                for start, end, length in zip(starts, ends, lengths.tolist())]
 
     # markov: each item prefers `branching` successors with heavy probability mass
-    succ = np.empty((spec.num_items, spec.branching), dtype=np.int64)
-    for item in range(spec.num_items):
-        succ[item] = stream.integers(spec.branching, spec.num_items)
+    succ = stream.integers(spec.num_items * spec.branching, spec.num_items)
+    succ = succ.reshape(spec.num_items, spec.branching).tolist()
+    u = stream.uniform(int(lengths.sum())).tolist()
     sessions = []
-    for s in range(spec.num_sessions):
-        length = int(lengths[s])
-        u = stream.uniform(length)
-        current = int(u[0] * spec.num_items) % spec.num_items
+    start = 0
+    for length in lengths.tolist():
+        current = int(u[start] * spec.num_items) % spec.num_items
         walk = [current]
-        for t in range(1, length):
-            r = u[t]
+        for r in u[start + 1:start + length]:
             if r < 0.9:   # follow a preferred transition
-                choice = int(r / 0.9 * spec.branching) % spec.branching
-                current = int(succ[current, choice])
+                current = succ[current][int(r / 0.9 * spec.branching) % spec.branching]
             else:         # jump anywhere
                 current = int((r - 0.9) / 0.1 * spec.num_items) % spec.num_items
             walk.append(current)
         sessions.append(walk)
+        start += length
     return sessions
 
 

@@ -198,6 +198,24 @@ class TestSettings:
         assert rc == 1
         assert capsys.readouterr().err == "error: min_session_len must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "gradcheck"])
+    def test_bad_config_file_fails_commands_that_take_no_key(self, pipeline, tmp_path, monkeypatch,
+                                                            capsys, command):
+        with open(pipeline["data"] / "dataset.jsonl.vocab") as fh:
+            first = json.loads(fh.readline())["raw"]
+        argv = {"evaluate": ["--dataset", str(pipeline["data"] / "dataset.jsonl"), "--baseline", "pop"],
+                "predict": ["--checkpoint", str(pipeline["ckpt"]),
+                            "--vocab", str(pipeline["data"] / "dataset.jsonl.vocab"), "--items", first],
+                "gradcheck": ["--cases", "0"]}[command]
+        assert main(["--config", str(tmp_path / "missing.json"), command, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read config {tmp_path / 'missing.json'}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min_session_len": 0}')
+        monkeypatch.setenv("CASIF_CONFIG", str(cfg))
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr() == ("", "error: min_session_len must be >= 1, got 0\n")
+
 
 class TestExitCodes:
     def test_missing_input_is_a_data_error_with_no_partial_output(self, tmp_path, capsys):

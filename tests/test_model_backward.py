@@ -139,10 +139,14 @@ class TestGradientStructure:
         example, params, hp = make_case(seed=9, variant="casif_s")
         grads = backward_batch(forward_batch([example], params, hp), params, hp)
         numeric = finite_difference_grad([example], params, hp)
+        # a padded batch of mixed prefix lengths, with repeats
+        batch = [example, PrefixExample([6], 2), PrefixExample([2, 2, 8, 0, 9, 3, 2], 1)]
+        batched = backward_batch(forward_batch(batch, params, hp), params, hp)
         for name in ("att_item", "att_last", "att_mean", "att_bias",
                      "mlp_general_w", "mlp_general_b", "mlp_current_w", "mlp_current_b"):
             assert np.all(grads[name] == 0.0)
             assert np.all(numeric[name] == 0.0)
+            assert np.all(batched[name] == 0.0)
 
 
 class TestWithL2Penalty:

@@ -144,6 +144,23 @@ def test_loss_is_computed_only_when_read(monkeypatch):
         trace.loss
 
 
+def test_softmax_is_computed_only_when_read(monkeypatch):
+    import casif.model
+
+    def refuse(*args):
+        raise AssertionError("softmax computed")
+
+    params, hp = case("casif", "eq13", 1)
+    examples = mixed_examples(seed=8)
+    report = evaluate_model(params, hp, examples, ks=(1, 5))
+    monkeypatch.setattr(casif.model, "_softmax_with_log", refuse)
+    assert evaluate_model(params, hp, examples, ks=(1, 5)).entries == report.entries
+    trace = forward(examples[0], params, hp)
+    assert trace.logits.shape == (NUM_ITEMS,)
+    with pytest.raises(AssertionError, match="softmax computed"):
+        trace.probs
+
+
 @pytest.mark.parametrize("loss_variant", LOSS_VARIANTS)
 def test_backward_follows_the_traced_loss(loss_variant):
     # backward_batch differentiates the loss the trace was built for, whatever hp says

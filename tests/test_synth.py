@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -95,3 +96,15 @@ class TestLogWriting:
             by_session.setdefault(sess, []).append(int(ts))
         for stamps in by_session.values():
             assert stamps == sorted(stamps)
+
+    @pytest.mark.parametrize("spec, sha256", [
+        (SynthSpec(num_items=30, num_sessions=200, min_len=2, max_len=9, branching=3, seed=11),
+         "ac655658746489709b0ecce34b7f7f575f5dd911a2ce296d376a085c6b5e6cb8"),
+        (SynthSpec(mode="functional", num_items=60, num_sessions=50, min_len=1, max_len=6, seed=12),
+         "ccaf08bcd461280caf3f0a1e7a342e85a430a5b94687ecd74250e150ccd8008e"),
+    ])
+    def test_pinned_bytes(self, spec, sha256):
+        # the click log of a given spec is fixed for all time, like the stream it draws from
+        buf = io.StringIO()
+        write_click_log(generate_sessions(spec), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256

@@ -271,6 +271,18 @@ class TestTrainingLoop:
         # descent must be unmistakable
         assert losses[-1] < losses[0] - 0.3
 
+    def test_casif_s_leaves_its_unused_tensors_at_their_init(self):
+        # README: a casif_s checkpoint holds the conditioning and interest tensors, which get zero gradient
+        ds = toy_dataset(n_sessions=20, seed=7)
+        hp = HyperParams(d=6, variant="casif_s")
+        cfg = small_cfg(epochs=1, batch_size=4, hp=hp, l2_lambda=0.0, seed=3)
+        trained = train(ds, cfg).params
+        init = init_params(ds.num_items, hp, cfg.seed)
+        assert not np.array_equal(trained.att_simple_w, init.att_simple_w)
+        for name in ("att_item", "att_last", "att_mean", "att_bias",
+                     "mlp_general_w", "mlp_general_b", "mlp_current_w", "mlp_current_b"):
+            assert np.array_equal(trained[name], init[name]), name
+
     def test_l2_term_included_in_reported_loss(self):
         ds = toy_dataset(seed=5)
         r_none = train(ds, small_cfg(epochs=1, l2_lambda=0.0))
