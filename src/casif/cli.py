@@ -19,7 +19,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
     with open(log_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
         for log in result.epoch_logs:
-            fh.write(json.dumps(log.record(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(log), sort_keys=True) + "\n")
 
     print(f"config: d={tc.hp.d} batch={tc.batch_size} lr0={tc.lr0} "
           f"variant={tc.hp.variant} loss={tc.hp.loss_variant} epochs={tc.epochs} seed={tc.seed}")
@@ -235,7 +235,7 @@ def cmd_predict(args) -> int:
 
     prefix = [vocab.raw_to_index[it] for it in raw_items]
     trace = forward(corpus.PrefixExample(prefix, 0), ckpt.params, ckpt.hp)
-    top = evaluation.rank_topk(trace.probs, args.k)
+    top = evaluation.rank_topk(trace.logits, args.k)     # as evaluate ranks: probabilities can round equal
     for index in top:
         print(f"{vocab.index_to_raw[int(index)]}\t{trace.probs[int(index)]:.6g}")
     return EXIT_OK

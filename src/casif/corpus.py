@@ -27,11 +27,10 @@ than two items are dropped.
 
 from __future__ import annotations
 
-import calendar
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -65,14 +64,8 @@ class ItemVocabulary:
 
     @classmethod
     def from_sessions(cls, sessions) -> "ItemVocabulary":
-        raw_to_index: dict[str, int] = {}
-        index_to_raw: list[str] = []
-        for sess in sessions:
-            for item in sess.items:
-                if item not in raw_to_index:
-                    raw_to_index[item] = len(index_to_raw)
-                    index_to_raw.append(item)
-        return cls(raw_to_index, index_to_raw)
+        index_to_raw = list(dict.fromkeys(item for sess in sessions for item in sess.items))
+        return cls({item: i for i, item in enumerate(index_to_raw)}, index_to_raw)
 
 
 @dataclass
@@ -155,6 +148,9 @@ class ParsedLog:
     skipped: int = 0
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def parse_timestamp_ms(text: str) -> int:
     """Epoch milliseconds from an integer or an ISO-8601 timestamp.
 
@@ -171,9 +167,7 @@ def parse_timestamp_ms(text: str) -> int:
     dt = datetime.fromisoformat(iso)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    utc = dt.astimezone(timezone.utc)
-    ms = calendar.timegm(utc.timetuple()) * 1000 + utc.microsecond // 1000
-    return ms
+    return (dt - _EPOCH) // timedelta(milliseconds=1)     # exact, even where UTC leaves datetime's range
 
 
 # the lone surrogates that errors="surrogateescape" decodes bytes that are not UTF-8 to

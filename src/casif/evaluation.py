@@ -3,13 +3,14 @@
 Ranks are 1-based positions under descending score with ties broken by
 ascending item index.  recall@k counts examples whose label lands in the
 top k; mrr@k averages 1/rank, with the term zeroed whenever the rank
-exceeds k.  Reports carry every metric per cutoff, overall and split into
-short (prefix length <= 5) and long (> 5) buckets.
+exceeds k.  A report holds each example's label rank and prefix length and
+computes every metric from them when read, per cutoff, overall and split
+into short (prefix length <= 5) and long (> 5) buckets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,64 +48,46 @@ def label_rank(scores, label: int) -> int:
     return int(_label_ranks(scores[None], np.array([label]))[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricsReport:
-    """recall/mrr per cutoff and bucket, with example counts."""
+    """Each example's label rank and prefix length; every figure is computed from them when read."""
     ks: tuple
-    entries: dict = field(default_factory=dict)   # (k, bucket) -> {"recall", "mrr", "n"}
+    ranks: np.ndarray
+    lengths: np.ndarray
+
+    def _bucket(self, bucket: str) -> np.ndarray:
+        """The ranks of the examples in one of BUCKETS."""
+        if bucket == "all":
+            return self.ranks
+        short = self.lengths <= SHORT_MAX_LEN
+        return self.ranks[{"short": short, "long": ~short}[bucket]]
 
     def recall(self, k: int, bucket: str = "all") -> float:
-        return self.entries[(k, bucket)]["recall"]
+        r = self._bucket(bucket)
+        return float((r <= k).mean()) if r.size else 0.0
 
     def mrr(self, k: int, bucket: str = "all") -> float:
-        return self.entries[(k, bucket)]["mrr"]
+        r = self._bucket(bucket)
+        return float(np.where(r <= k, 1.0 / r, 0.0).mean()) if r.size else 0.0
 
     def n(self, bucket: str = "all") -> int:
-        k = self.ks[0]
-        return self.entries[(k, bucket)]["n"]
+        return int(self._bucket(bucket).size)
 
     def records(self, buckets=BUCKETS) -> list:
-        out = []
-        for k in self.ks:
-            for bucket in buckets:
-                e = self.entries[(k, bucket)]
-                out.append({"k": k, "bucket": bucket, "recall": e["recall"], "mrr": e["mrr"], "n": e["n"]})
-        return out
+        return [{"k": k, "bucket": bucket, "recall": self.recall(k, bucket), "mrr": self.mrr(k, bucket),
+                 "n": self.n(bucket)} for k in self.ks for bucket in buckets]
 
     def table(self, buckets=BUCKETS) -> str:
         lines = [f"{'bucket':<8}{'n':>8}" + "".join(f"{f'Recall@{k}':>12}{f'MRR@{k}':>12}" for k in self.ks)]
         for bucket in buckets:
-            e0 = self.entries[(self.ks[0], bucket)]
-            row = f"{bucket:<8}{e0['n']:>8}"
-            for k in self.ks:
-                e = self.entries[(k, bucket)]
-                row += f"{e['recall'] * 100:>12.2f}{e['mrr'] * 100:>12.2f}"
-            lines.append(row)
+            lines.append(f"{bucket:<8}{self.n(bucket):>8}" + "".join(
+                f"{self.recall(k, bucket) * 100:>12.2f}{self.mrr(k, bucket) * 100:>12.2f}" for k in self.ks))
         return "\n".join(lines)
 
 
-def _report_from_ranks(ranks, lengths, ks) -> MetricsReport:
-    ranks = np.asarray(ranks, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    masks = {
-        "all": np.ones(ranks.shape[0], dtype=bool),
-        "short": lengths <= SHORT_MAX_LEN,
-        "long": lengths > SHORT_MAX_LEN,
-    }
-    report = MetricsReport(ks=tuple(ks))
-    for k in ks:
-        for bucket, mask in masks.items():
-            r = ranks[mask]
-            if r.size == 0:
-                report.entries[(k, bucket)] = {"recall": 0.0, "mrr": 0.0, "n": 0}
-                continue
-            hit = r <= k
-            report.entries[(k, bucket)] = {
-                "recall": float(hit.mean()),
-                "mrr": float(np.where(hit, 1.0 / r, 0.0).mean()),
-                "n": int(r.size),
-            }
-    return report
+def _report(ranks, examples, ks) -> MetricsReport:
+    lengths = np.array([len(ex.prefix) for ex in examples], dtype=np.int64)
+    return MetricsReport(tuple(ks), ranks, lengths)
 
 
 def _check_cutoffs(ks, num_items: int) -> None:
@@ -123,7 +106,7 @@ def evaluate_model(params: ModelParams, hp: HyperParams, examples, ks=DEFAULT_KS
         trace = forward_batch([examples[i] for i in rows], params, hp)
         ranks[rows] = _label_ranks(trace.logits, trace.labels)    # the softmax is never read
         del trace       # so that it is freed before the next sub-batch's forward pass
-    return _report_from_ranks(ranks, [len(ex.prefix) for ex in examples], ks)
+    return _report(ranks, examples, ks)
 
 
 def popularity_scores(train_examples, num_items: int) -> np.ndarray:
@@ -142,6 +125,4 @@ def pop_baseline(train_examples, test_examples, num_items: int, ks=DEFAULT_KS) -
     # one stable order over the catalog breaks ties to the smaller index, as rank_topk does
     rank_of = np.empty(num_items, dtype=np.int64)
     rank_of[np.argsort(-popularity_scores(train_examples, num_items), kind="stable")] = np.arange(1, num_items + 1)
-    ranks = rank_of[[ex.label for ex in test_examples]]
-    lengths = [len(ex.prefix) for ex in test_examples]
-    return _report_from_ranks(ranks, lengths, ks)
+    return _report(rank_of[[ex.label for ex in test_examples]], test_examples, ks)

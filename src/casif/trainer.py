@@ -128,9 +128,6 @@ class EpochLog:
     lr: float
     mean_loss: float
 
-    def record(self) -> dict:
-        return {"epoch": self.epoch, "lr": self.lr, "mean_loss": self.mean_loss}
-
 
 @dataclass
 class TrainResult:

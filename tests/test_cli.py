@@ -10,7 +10,8 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from casif import HyperParams, TrainConfig, SynthSpec, generate_sessions, write_click_log
+from casif import (AdamState, Checkpoint, HyperParams, TrainConfig, SynthSpec, generate_sessions, init_params,
+                   save_checkpoint, write_click_log)
 from casif.cli import main
 
 
@@ -113,6 +114,21 @@ class TestPipeline:
         assert len(rows) == 3
         scores = [float(r.split("\t")[1]) for r in rows]
         assert scores == sorted(scores, reverse=True)
+
+    def test_predict_ranks_logits_where_probabilities_tie(self, tmp_path, capsys):
+        # zero weights and saturated interest biases make the logits equal the 1-d embeddings
+        # exactly; items b and c sit 801 and 800 below a, so both of their probabilities are 0.0
+        hp = HyperParams(d=1)
+        params = init_params(3, hp, seed=0)
+        params.flat[:] = 0.0
+        params.mlp_general_b[:] = params.mlp_current_b[:] = 20.0
+        params.emb[:, 0] = [0.0, -801.0, -800.0]
+        ckpt = tmp_path / "tie.ckpt"
+        save_checkpoint(ckpt, Checkpoint(hp=hp, params=params, adam=AdamState.fresh(params), epoch=0, rng_seed=0))
+        vocab = tmp_path / "tie.vocab"
+        vocab.write_text("".join(json.dumps({"index": i, "raw": raw}) + "\n" for i, raw in enumerate("abc")))
+        assert main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab), "--items", "a", "--k", "3"]) == 0
+        assert capsys.readouterr().out == "a\t1\nc\t0\nb\t0\n"
 
 
 class TestSettings:

@@ -110,6 +110,15 @@ class TestLogParsing:
         with pytest.raises(DataError, match="^line 2: timestamp out of range$"):
             parse_click_log(io.StringIO(log), strict=True)
 
+    def test_iso_timestamps_at_the_ends_of_datetime(self):
+        # both lie outside datetime's range once converted to UTC
+        log = "s1,0001-01-01T00:00:00+01:00,a\ns1,9999-12-31T23:59:59-01:00,b\n"
+        parsed = parse_click_log(io.StringIO(log))
+        assert parsed.skipped == 1
+        assert rows(parsed.events) == [("s1", 253402304399000, "b")]
+        with pytest.raises(DataError, match="^line 1: negative timestamp -62135600400000$"):
+            parse_click_log(io.StringIO(log), strict=True)
+
 
 class TestSessionizeAndFilter:
     def test_groups_and_orders_by_time(self):

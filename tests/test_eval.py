@@ -12,7 +12,7 @@ from casif import (
     rank_topk,
 )
 from casif.errors import ConfigError, DataError
-from casif.evaluation import _report_from_ranks
+from casif.evaluation import SHORT_MAX_LEN, MetricsReport, _label_ranks
 from reference_impl import ref_rank_metrics
 from test_model_forward import zero_params
 
@@ -63,9 +63,9 @@ class TestRanking:
 
 
 def rank_report(scores, labels, ks):
-    """The production metric path: label_rank per example, then _report_from_ranks."""
-    ranks = [label_rank(row, label) for row, label in zip(scores, labels)]
-    return _report_from_ranks(ranks, [1] * len(labels), ks)
+    """The production metric path: _label_ranks over the (B, N) block, then a MetricsReport."""
+    ranks = _label_ranks(np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+    return MetricsReport(tuple(ks), ranks, np.ones(len(labels), dtype=np.int64))
 
 
 class TestMetricOracle:
@@ -79,6 +79,26 @@ class TestMetricOracle:
                 ref_r, ref_m = ref_rank_metrics(scores.tolist(), labels, k)
                 assert abs(report.recall(k) - ref_r) < 1e-12
                 assert abs(report.mrr(k) - ref_m) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bucket_figures_match_per_bucket_sums(self, seed):
+        # seed 0 has only short prefixes, so its long bucket is empty
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 60))
+        ranks = rng.integers(1, 30, size=size)
+        lengths = rng.integers(1, SHORT_MAX_LEN + 1 if seed == 0 else 12, size=size)
+        ks = (1, 5, 20)
+        report = MetricsReport(ks, ranks, lengths)
+        members = {"all": [True] * size, "short": lengths <= SHORT_MAX_LEN, "long": lengths > SHORT_MAX_LEN}
+        assert (report.n("long") == 0) == (seed == 0)
+        for bucket, mask in members.items():
+            rs = [int(r) for r, m in zip(ranks, mask) if m]
+            assert report.n(bucket) == len(rs)
+            for k in ks:
+                ref_r = sum(1 for r in rs if r <= k) / len(rs) if rs else 0.0
+                ref_m = sum(1.0 / r for r in rs if r <= k) / len(rs) if rs else 0.0
+                assert abs(report.recall(k, bucket) - ref_r) < 1e-12
+                assert abs(report.mrr(k, bucket) - ref_m) < 1e-12
 
     def test_rank_beyond_k_contributes_zero_to_mrr(self):
         # label ranked 3rd: counts for k >= 3, is zeroed for k < 3

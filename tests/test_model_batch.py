@@ -154,7 +154,7 @@ def test_softmax_is_computed_only_when_read(monkeypatch):
     examples = mixed_examples(seed=8)
     report = evaluate_model(params, hp, examples, ks=(1, 5))
     monkeypatch.setattr(casif.model, "_softmax_with_log", refuse)
-    assert evaluate_model(params, hp, examples, ks=(1, 5)).entries == report.entries
+    assert evaluate_model(params, hp, examples, ks=(1, 5)).records() == report.records()
     trace = forward(examples[0], params, hp)
     assert trace.logits.shape == (NUM_ITEMS,)
     with pytest.raises(AssertionError, match="softmax computed"):
