@@ -14,7 +14,6 @@ from .config import DEFAULTS, load_config_file, settings
 from .corpus import (
     ClickColumns,
     ItemVocabulary,
-    LogFormat,
     PrefixExample,
     PreprocessConfig,
     ProcessedDataset,

@@ -90,17 +90,13 @@ def _settings(args, cls, **fixed):
 
 
 def cmd_preprocess(args) -> int:
-    fmt = _settings(args, corpus.LogFormat)
     settings = _settings(args, corpus.PreprocessConfig)
     in_path = Path(args.input)
-    if not in_path.exists():
-        raise DataError(f"input file not found: {in_path}")
-
-    provenance = _provenance("preprocess", fmt, settings, input=str(in_path))
+    provenance = _provenance("preprocess", settings, input=str(in_path))
     # surrogateescape: a line that is not UTF-8 is one malformed line, not an aborted read
     with open(in_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
-            ds, skipped = corpus.preprocess(fh, fmt, settings, provenance)
+            ds, skipped = corpus.preprocess(fh, settings, provenance)
         except DataError as exc:
             raise DataError(f"{in_path}: {exc}") from exc
     out_dir = Path(args.out_dir)
@@ -196,8 +192,6 @@ def cmd_evaluate(args) -> int:
         report = evaluation.pop_baseline(ds.train, examples, ds.num_items, ks=ks)
         source, model = "baseline:pop", ()
     else:
-        if not args.checkpoint:
-            raise ConfigError("evaluate needs --checkpoint unless --baseline pop is given")
         ckpt = trainer.load_checkpoint(args.checkpoint)
         if ckpt.num_items != ds.num_items:
             raise DataError(
@@ -290,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="raw click log -> processed dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_field_flags(p, corpus.LogFormat)
     _add_field_flags(p, corpus.PreprocessConfig)
     p.add_argument("--dump-graphs", action="store_true", help="also write per-example session graphs")
     p.set_defaults(func=cmd_preprocess)
@@ -306,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="rank metrics for a checkpoint or baseline")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--baseline", choices=["pop"])
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--baseline", choices=["pop"])
     p.add_argument("--ks", default="5,10,20")
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--split-length", action="store_true", help="also report short/long buckets")

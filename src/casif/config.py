@@ -1,7 +1,7 @@
 """Config file handling: documented keys, settings dataclasses from given values, strict validation.
 
-The fields of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``),
-``LogFormat`` (raw log layout) and ``PreprocessConfig`` (``corpus.preprocess``)
+The fields of ``HyperParams`` (model), ``TrainConfig`` (training, bar ``hp``)
+and ``PreprocessConfig`` (``corpus.preprocess``: log layout and recipe)
 declare every key of the JSON config file: a field's name is the key, its
 default the key's default and its annotation the types the key accepts.
 ``settings`` builds a dataclass from given values, such as a config file
@@ -17,14 +17,14 @@ import os
 from dataclasses import MISSING, fields
 from typing import get_args, get_type_hints
 
-from .corpus import LogFormat, PreprocessConfig
+from .corpus import PreprocessConfig
 from .errors import ConfigError
 from .model import HyperParams
 from .trainer import TrainConfig
 
 ENV_CONFIG = "CASIF_CONFIG"
 
-_DECLARED = (HyperParams, TrainConfig, LogFormat, PreprocessConfig)   # model, training, log layout, preprocessing
+_DECLARED = (HyperParams, TrainConfig, PreprocessConfig)   # model, training, preprocessing
 
 # TrainConfig.hp has a default factory, not a default, so it is no key
 DEFAULTS = {f.name: f.default for cls in _DECLARED for f in fields(cls) if f.default is not MISSING}

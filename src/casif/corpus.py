@@ -3,7 +3,7 @@
 ``preprocess`` turns a raw delimited click log into a ProcessedDataset:
 integer-indexed sessions over a contiguous item vocabulary, and the
 (prefix, label) examples expanded from them.  It runs these stages with
-the settings of one PreprocessConfig:
+the settings of one PreprocessConfig, the log's column layout included:
 
     parse_click_log -> sessionize_and_filter -> time_split
         -> take_recent_fraction (train side) -> build_vocab_and_reindex
@@ -88,25 +88,13 @@ class ProcessedDataset:
 
 
 @dataclass
-class LogFormat:
-    """Column layout of a raw click log."""
+class PreprocessConfig:
+    """Settings of preprocess: the click log's column layout, then the recipe's filters and split."""
     delimiter: str = ","
     has_header: bool = False
     session_col: int = 0
     time_col: int = 1
     item_col: int = 2
-
-    def __post_init__(self):
-        if not self.delimiter:
-            raise ConfigError("delimiter must not be empty")
-        for key in ("session_col", "time_col", "item_col"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-
-
-@dataclass
-class PreprocessConfig:
-    """Settings of the preprocessing recipe (see preprocess)."""
     min_item_support: int = 5
     min_session_len: int = 2
     max_session_len: int = 50
@@ -116,7 +104,19 @@ class PreprocessConfig:
     strict_parse: bool = False          # abort on the first malformed line instead of skipping it
 
     def __post_init__(self):
+        if not self.delimiter:
+            raise ConfigError("delimiter must not be empty")
+        key_of = {}
+        for key in ("session_col", "time_col", "item_col"):
+            col = getattr(self, key)
+            if col < 0:
+                raise ConfigError(f"{key} must be >= 0, got {col}")
+            if col in key_of:
+                raise ConfigError(f"{key} must differ from {key_of[col]}, both are {col}")
+            key_of[col] = key
         _check_session_lengths(self.min_session_len, self.max_session_len)
+        if self.max_session_len == 1:   # a one-click session gives no example
+            raise ConfigError("max_session_len must be 0 (no cap) or >= 2, got 1")
         if self.test_window_ms < 0:
             raise ConfigError(f"test_window_ms must be >= 0, got {self.test_window_ms}")
         _as_fraction(self.fraction)
@@ -175,23 +175,23 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 _TIMESTAMP_LIMIT = 1 << 63     # the first epoch ms an int64 column cannot hold
 
 
-def parse_click_log(stream, fmt: LogFormat | None = None, strict: bool = False) -> ParsedLog:
-    """Parse delimited click-log lines into columns, in file order.
+def parse_click_log(stream, settings: PreprocessConfig | None = None) -> ParsedLog:
+    """Parse delimited click-log lines, laid out as ``settings`` says, into columns, in file order.
 
-    Malformed lines are skipped and counted; with strict=True the first
+    Malformed lines are skipped and counted; with strict_parse the first
     one aborts with its line number.  A line holding bytes that are not
     UTF-8, read with errors="surrogateescape", is malformed, and so is a
     timestamp of 2**63 ms or later, which an int64 column cannot hold.
     """
-    fmt = fmt or LogFormat()
-    need = max(fmt.session_col, fmt.time_col, fmt.item_col) + 1
+    settings = settings or PreprocessConfig()
+    need = max(settings.session_col, settings.time_col, settings.item_col) + 1
     skipped = 0
     session_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
     columns = [], [], []    # list.append is about twice as fast as array("q").append
     add_session, add_time, add_item = (column.append for column in columns)
     for lineno, line in enumerate(stream, start=1):
-        if fmt.has_header and lineno == 1:
+        if settings.has_header and lineno == 1:
             continue
         line = line.rstrip("\r\n")
         if not line:
@@ -199,18 +199,18 @@ def parse_click_log(stream, fmt: LogFormat | None = None, strict: bool = False) 
         try:
             if not line.isascii() and _UNDECODED.search(line):
                 raise ValueError("not UTF-8 text")
-            parts = line.split(fmt.delimiter)
+            parts = line.split(settings.delimiter)
             if len(parts) < need:
                 raise ValueError(f"expected at least {need} fields, got {len(parts)}")
-            session_id = parts[fmt.session_col].strip()
-            item_id = parts[fmt.item_col].strip()
+            session_id = parts[settings.session_col].strip()
+            item_id = parts[settings.item_col].strip()
             if not session_id or not item_id:
                 raise ValueError("empty session or item id")
-            ts = parse_timestamp_ms(parts[fmt.time_col])
+            ts = parse_timestamp_ms(parts[settings.time_col])
             if not 0 <= ts < _TIMESTAMP_LIMIT:
                 raise ValueError(f"negative timestamp {ts}" if ts < 0 else "timestamp out of range")
         except ValueError as exc:
-            if strict:
+            if settings.strict_parse:
                 raise DataError(f"line {lineno}: {exc}") from exc
             skipped += 1
             continue
@@ -325,7 +325,7 @@ def build_vocab_and_reindex(train_sessions, test_sessions, provenance: dict | No
     return ProcessedDataset(train, test, vocab, provenance or {})
 
 
-def preprocess(lines, fmt: LogFormat | None = None, settings: PreprocessConfig | None = None,
+def preprocess(lines, settings: PreprocessConfig | None = None,
                provenance: dict | None = None) -> tuple[ProcessedDataset, int]:
     """The preprocessing recipe: click-log lines to a dataset, and the count of skipped lines.
 
@@ -334,7 +334,7 @@ def preprocess(lines, fmt: LogFormat | None = None, settings: PreprocessConfig |
     The dataset's provenance is ``provenance`` plus the split_ts used.
     """
     settings = settings or PreprocessConfig()
-    parsed = parse_click_log(lines, fmt, strict=settings.strict_parse)
+    parsed = parse_click_log(lines, settings)
     sessions = sessionize_and_filter(parsed.events, settings.min_item_support,
                                      settings.min_session_len, settings.max_session_len)
     if not sessions:

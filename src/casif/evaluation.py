@@ -39,7 +39,11 @@ def _label_ranks(scores, labels) -> np.ndarray:
     """1-based rank of each row's label in (B, N) scores, under the rank_topk ordering."""
     s = scores[np.arange(labels.shape[0]), labels][:, None]
     tied_before = (scores == s) & (np.arange(scores.shape[1]) < labels[:, None])
-    return 1 + (scores > s).sum(axis=1) + tied_before.sum(axis=1)
+    ranks = 1 + (scores > s).sum(axis=1) + tied_before.sum(axis=1)
+    nan = np.flatnonzero(np.isnan(s[:, 0]))
+    if nan.size:    # NaN compares false to every score: such a label ranks after every number, NaNs in index order
+        ranks[nan] = _label_ranks(~np.isnan(scores[nan]), labels[nan])
+    return ranks
 
 
 def label_rank(scores, label: int) -> int:

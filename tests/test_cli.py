@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,25 @@ class TestPipeline:
         stats = json.loads((data / "stats.json").read_text())
         assert stats["provenance"]["command"] == "preprocess"
         assert stats["stats"]["train_examples"] > 0
+
+    def test_preprocess_pinned_bytes(self, tmp_path, monkeypatch):
+        # a header row, ";" and permuted columns; the input path is relative so the provenance is fixed
+        buf = io.StringIO()
+        write_click_log(generate_sessions(SynthSpec(num_items=15, num_sessions=120, seed=4)), buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()]
+        (tmp_path / "log.txt").write_text("item;session;time\n" + "".join(f"{i};{s};{t}\n" for s, t, i in rows))
+        monkeypatch.chdir(tmp_path)
+        assert main(["preprocess", "--input", "log.txt", "--out-dir", "out", "--has-header",
+                     "--delimiter", ";", "--item-col", "0", "--session-col", "1", "--time-col", "2",
+                     "--strict", "--fraction", "2/3", "--min-item-support", "2",
+                     "--max-session-len", "6", "--test-window-ms", "7200000"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ("dataset.jsonl", "dataset.jsonl.vocab", "stats.json")}
+        assert digests == {
+            "dataset.jsonl": "c02e7557f8f02370cb6579dd4c24099e363fccbe9a2a014496520fc51663ad74",
+            "dataset.jsonl.vocab": "bca25bd3f41600d0bb7cce70f24af329696a6c0e8ea19bff29590fb1eb4afde0",
+            "stats.json": "e26a4ad85079eeb6e7d6bc4f252a222e9cfe6e69757d8dcbde8c67c84563cb01",
+        }
 
     def test_dataset_header_carries_provenance(self, pipeline):
         with open(pipeline["data"] / "dataset.jsonl") as fh:
@@ -246,6 +266,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--no-such-flag"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("sources", [("--checkpoint", "--baseline"), ()], ids=["both", "neither"])
+    def test_evaluate_takes_a_checkpoint_or_the_baseline(self, pipeline, capsys, sources):
+        given = {"--checkpoint": str(pipeline["ckpt"]), "--baseline": "pop"}
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                  *(arg for flag in sources for arg in (flag, given[flag]))])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--checkpoint" in captured.err and "--baseline" in captured.err
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -468,7 +498,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value", [("--delimiter", ""), ("--session-col", "-1"),
                                              ("--time-col", "-2"), ("--item-col", "-1"),
                                              ("--max-session-len", "-3"), ("--min-session-len", "0"),
-                                             ("--test-window-ms", "-5")])
+                                             ("--test-window-ms", "-5"), ("--time-col", "0"),
+                                             ("--item-col", "1"), ("--max-session-len", "1")])
     def test_bad_log_and_length_settings_are_config_errors(self, pipeline, tmp_path, capsys,
                                                            flag, value):
         rc = main(["preprocess", "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d"),

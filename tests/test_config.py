@@ -10,7 +10,7 @@ import pytest
 
 from casif.cli import build_parser, main
 from casif.config import DEFAULTS, load_config_file
-from casif.corpus import LogFormat, PreprocessConfig
+from casif.corpus import PreprocessConfig
 from casif.errors import ConfigError
 from casif.model import HyperParams
 from casif.trainer import TrainConfig
@@ -99,7 +99,7 @@ FLAGS = {
 
 # the dataclasses each command runs with: its provenance records their keys
 COMMAND_KEYS = {command: {f.name for cls in classes for f in fields(cls) if f.name in DEFAULTS}
-                for command, classes in (("preprocess", (LogFormat, PreprocessConfig)),
+                for command, classes in (("preprocess", (PreprocessConfig,)),
                                          ("train", (HyperParams, TrainConfig)))}
 
 # train runs small unless the flag under test sets one of these

@@ -10,7 +10,6 @@ from casif import (
     ClickColumns,
     DataError,
     HyperParams,
-    LogFormat,
     PrefixExample,
     PreprocessConfig,
     Session,
@@ -82,8 +81,8 @@ class TestLogParsing:
 
     def test_header_and_custom_columns(self):
         log = io.StringIO("item\tsession\twhen\na\ts1\t1000\nb\ts1\t2000\n")
-        fmt = LogFormat(delimiter="\t", has_header=True, session_col=1, time_col=2, item_col=0)
-        parsed = parse_click_log(log, fmt)
+        settings = PreprocessConfig(delimiter="\t", has_header=True, session_col=1, time_col=2, item_col=0)
+        parsed = parse_click_log(log, settings)
         assert [item for _, _, item in rows(parsed.events)] == ["a", "b"]
 
     def test_lenient_skips_and_counts(self):
@@ -95,7 +94,7 @@ class TestLogParsing:
     def test_strict_raises_with_line_number(self):
         log = io.StringIO("s1,1000,a\ns1,notatime,b\n")
         with pytest.raises(DataError, match="line 2"):
-            parse_click_log(log, strict=True)
+            parse_click_log(log, PreprocessConfig(strict_parse=True))
 
     def test_blank_lines_ignored(self):
         parsed = parse_click_log(io.StringIO("s1,1000,a\n\n\ns1,2000,b\n"))
@@ -108,7 +107,7 @@ class TestLogParsing:
         assert parsed.skipped == 1
         assert rows(parsed.events) == [("s1", 1000, "a"), ("s1", 2**63 - 1, "c")]
         with pytest.raises(DataError, match="^line 2: timestamp out of range$"):
-            parse_click_log(io.StringIO(log), strict=True)
+            parse_click_log(io.StringIO(log), PreprocessConfig(strict_parse=True))
 
     def test_iso_timestamps_at_the_ends_of_datetime(self):
         # both lie outside datetime's range once converted to UTC
@@ -117,7 +116,7 @@ class TestLogParsing:
         assert parsed.skipped == 1
         assert rows(parsed.events) == [("s1", 253402304399000, "b")]
         with pytest.raises(DataError, match="^line 1: negative timestamp -62135600400000$"):
-            parse_click_log(io.StringIO(log), strict=True)
+            parse_click_log(io.StringIO(log), PreprocessConfig(strict_parse=True))
 
 
 class TestSessionizeAndFilter:

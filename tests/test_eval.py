@@ -55,6 +55,15 @@ class TestRanking:
         for k in range(1, 7):
             assert rank_topk(scores, k).tolist() == order[:k].tolist()
 
+    def test_label_ranks_follow_topk_with_nan_and_infinite_scores(self):
+        # rank_topk ranks NaN after every number, NaNs in index order
+        rng = np.random.default_rng(7)
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, 1.0, -1.0])
+        scores = values[rng.integers(0, len(values), size=(3000, 8))]
+        labels = rng.integers(0, 8, size=3000)
+        expected = [rank_topk(row, 8).tolist().index(label) + 1 for row, label in zip(scores, labels)]
+        assert _label_ranks(scores, labels).tolist() == expected
+
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             rank_topk(np.zeros(4), 0)
@@ -158,6 +167,14 @@ class TestModelEvaluation:
         assert report.recall(3) == pytest.approx(3.0 / 6.0)
         assert report.recall(6) == 1.0
         assert report.mrr(6) == pytest.approx(np.mean([1.0 / r for r in range(1, 7)]))
+
+    def test_nan_parameters_rank_labels_by_index(self):
+        # every logit is NaN, so the labels rank in index order, as predict lists them
+        hp = HyperParams(d=3)
+        params = init_params(6, hp, seed=0)
+        params.flat[:] = np.nan
+        examples = [PrefixExample([0, 1], lab) for lab in range(6)]
+        assert evaluate_model(params, hp, examples, ks=(1,)).ranks.tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_bucket_accounting(self):
         rng = np.random.default_rng(3)
