@@ -79,6 +79,12 @@ def _add_field_flags(parser, cls) -> None:
             parser.add_argument(flag, dest=f.name, type=types[f.name][0])
 
 
+def _make_parents(*paths) -> None:
+    """Create the parent directories of the output paths given (None skipped), before a command's work."""
+    for path in filter(None, paths):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _settings(args, cls, **fixed):
     """``cls`` from the config file's keys, overridden by every flag given; ``fixed`` fields as given."""
     flags = {k: v for k, v in vars(args).items() if v is not None}
@@ -142,6 +148,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     tc = _settings(args, trainer.TrainConfig, hp=_settings(args, HyperParams))
+    _make_parents(args.checkpoint_out, args.log_out)
     ds = corpus.load_dataset(args.dataset)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
     if resume:
@@ -183,6 +190,7 @@ def _parse_ks(text: str):
 
 def cmd_evaluate(args) -> int:
     ks = _parse_ks(args.ks)
+    _make_parents(args.out)
     ds = corpus.load_dataset(args.dataset)
     examples = ds.train if args.split == "train" else ds.test
     if not examples:
@@ -263,9 +271,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = _settings(args, synth.SynthSpec)
-    sessions = synth.generate_sessions(spec)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(out)
+    sessions = synth.generate_sessions(spec)
     with open(out, "w", encoding="utf-8") as fh:
         clicks = synth.write_click_log(sessions, fh)
     print(f"wrote {clicks} clicks / {len(sessions)} sessions to {out}")

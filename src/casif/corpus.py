@@ -44,7 +44,7 @@ DATASET_VERSION = 2
 
 @dataclass
 class Session:
-    items: list         # raw item_id strings before reindexing, ints after
+    items: list         # raw item_id strings; reindexed sessions are int lists in ProcessedDataset
     start_time: int = 0
 
 

@@ -120,8 +120,8 @@ class ModelParams(dict):
 
     Parameters, their gradients and Adam's two moments all have this
     type.  ``flat`` holds the tensors row-major in the order of ``shapes``
-    and is never copied; for parameters it is byte for byte the
-    checkpoint's tensor section.  Each tensor is also an attribute
+    and is never copied; for parameters and moments it is byte for byte
+    one of the checkpoint's three vectors.  Each tensor is also an attribute
     (``params.emb``).  Parameters of the simplified variant hold
     ``att_simple_w`` and ``att_simple_b``.
     """

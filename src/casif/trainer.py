@@ -11,21 +11,21 @@ optimizer moments, both of which the checkpoint holds.
 
 Parameters, gradients and Adam moments are one type, ``ModelParams``:
 named tensors viewing one float64 vector ``flat``.  So Adam and the
-gradient scaling are whole-vector operations, and the checkpoint's tensor
-section is ``params.flat``.
+gradient scaling are whole-vector operations, and the checkpoint's payload
+is ``params.flat`` and the two moments' ``flat``, one write each.
 
-Checkpoint layout (all little-endian), one for every file:
+Checkpoint layout (all little-endian), version 2:
 
     magic "CASF" | version u16 | d u32 | num_items u32 | gnn_steps u32
-    variant u8 | loss u8 | current-interest u8 | flags u8 = 3 | epoch u32
-    tensors: params.flat, float64, every tensor row-major in declared order
-    adam step counter u64, then (moment1, moment2) per tensor
-    rng seed u64
+    variant u8 | loss u8 | current-interest u8 | epoch u32
+    adam step counter u64 | rng seed u64                     (41 bytes)
+    params.flat, moment1.flat, moment2.flat: float64, each tensor row-major in declared order
 
-The flags byte is always 3 (Adam state and seed present), as in every
-file ``train`` has written.  The header fixes the payload length at
-8 * (3 * size + 2) bytes for ``size`` parameter entries, so a file of any
-other length is truncated or has trailing bytes.
+The header fixes the file's length at 41 + 24 * size bytes for ``size``
+parameter entries, so a file of any other length is truncated or has
+trailing bytes.  Version-1 files are rejected by the version check.  A save
+writes a temporary file beside ``path`` and renames it over ``path``, so a
+save that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ from .model import (
 from .rng import STREAM_SHUFFLE, SplitMix64, substream_seed
 
 CHECKPOINT_MAGIC = b"CASF"
-CHECKPOINT_VERSION = 1
-CHECKPOINT_FLAGS = 3    # Adam state and seed: every file holds both
+CHECKPOINT_VERSION = 2
 
-# magic, version, d, num_items, gnn_steps, variant, loss, current-interest, flags, epoch
-_HEADER = struct.Struct("<4sHIIIBBBBI")
-_U64 = struct.Struct("<Q")
+# magic, version, d, num_items, gnn_steps, variant, loss, current-interest, epoch, adam step, rng seed
+_HEADER = struct.Struct("<4sHIIIBBBIQQ")
 
 # Adam's moment decay rates and denominator epsilon
 ADAM_BETA1 = 0.9
@@ -251,20 +249,23 @@ def _write_array(fh, arr: np.ndarray):
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Serialize a checkpoint; see the module docstring for the layout."""
     hp = ckpt.hp
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(
-            CHECKPOINT_MAGIC, CHECKPOINT_VERSION, hp.d, ckpt.num_items, hp.gnn_steps,
-            VARIANTS.index(hp.variant),
-            LOSS_VARIANTS.index(hp.loss_variant),
-            CURRENT_INTEREST_INPUTS.index(hp.current_interest_input),
-            CHECKPOINT_FLAGS, ckpt.epoch,
-        ))
-        _write_array(fh, ckpt.params.flat)
-        fh.write(_U64.pack(ckpt.adam.t))
-        for name in ckpt.params.tensor_names():
-            _write_array(fh, ckpt.adam.moment1[name])
-            _write_array(fh, ckpt.adam.moment2[name])
-        fh.write(_U64.pack(ckpt.rng_seed & 0xFFFFFFFFFFFFFFFF))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(
+                CHECKPOINT_MAGIC, CHECKPOINT_VERSION, hp.d, ckpt.num_items, hp.gnn_steps,
+                VARIANTS.index(hp.variant),
+                LOSS_VARIANTS.index(hp.loss_variant),
+                CURRENT_INTEREST_INPUTS.index(hp.current_interest_input),
+                ckpt.epoch, ckpt.adam.t, ckpt.rng_seed & 0xFFFFFFFFFFFFFFFF,
+            ))
+            for vector in (ckpt.params, ckpt.adam.moment1, ckpt.adam.moment2):
+                _write_array(fh, vector.flat)
+        os.replace(tmp, path)
+    except BaseException:       # KeyboardInterrupt too: the previous file stays whole
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -276,12 +277,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: bad magic {magic!r}, not a checkpoint file")
         if len(header) < _HEADER.size:
             raise DataError(f"{path}: truncated checkpoint header")
-        (_, version, d, num_items, gnn_steps, variant_code, loss_code, cur_code, flags,
-         epoch) = _HEADER.unpack(header)
+        (_, version, d, num_items, gnn_steps, variant_code, loss_code, cur_code,
+         epoch, t, rng_seed) = _HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        if flags != CHECKPOINT_FLAGS:
-            raise DataError(f"{path}: bad header: flags must be {CHECKPOINT_FLAGS}, got {flags}")
         try:
             hp = HyperParams(
                 d=d, gnn_steps=gnn_steps,
@@ -299,22 +298,15 @@ def load_checkpoint(path) -> Checkpoint:
         shapes = _tensor_shapes(num_items, d, hp.variant)
         size = sum(math.prod(shape) for shape in shapes.values())
         # the one length check, before any allocation: a corrupt header cannot ask for
-        # more than the file holds, and no read below can come up short
-        expected = _HEADER.size + 8 * (3 * size + 2)
+        # more than the file holds, and the read below cannot come up short
+        expected = _HEADER.size + 24 * size
         actual = os.fstat(fh.fileno()).st_size
         if actual != expected:
             problem = "truncated checkpoint" if actual < expected else "trailing bytes after checkpoint payload"
             raise DataError(f"{path}: {problem}: {actual} bytes, the header needs {expected}")
 
-        params = ModelParams(np.empty(size, dtype="<f8"), shapes)
-        fh.readinto(params.flat)
-        (t,) = _U64.unpack(fh.read(_U64.size))
-        moments = np.empty(2 * size, dtype="<f8")
-        moment1, moment2 = ModelParams(moments[:size], shapes), ModelParams(moments[size:], shapes)
-        for name in shapes:     # interleaved per tensor
-            fh.readinto(moment1[name])
-            fh.readinto(moment2[name])
-        (rng_seed,) = _U64.unpack(fh.read(_U64.size))
-
+        payload = np.empty(3 * size, dtype="<f8")
+        fh.readinto(payload)
+    params, moment1, moment2 = (ModelParams(third, shapes) for third in payload.reshape(3, size))
     return Checkpoint(hp=hp, params=params, adam=AdamState(moment1=moment1, moment2=moment2, t=t),
                       epoch=epoch, rng_seed=rng_seed)

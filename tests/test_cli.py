@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from casif import (AdamState, Checkpoint, HyperParams, TrainConfig, SynthSpec, generate_sessions, init_params,
-                   save_checkpoint, write_click_log)
+                   load_checkpoint, save_checkpoint, write_click_log)
 from casif.cli import main
 
 
@@ -526,6 +526,16 @@ class TestExitCodes:
             config = json.loads(fh.readline())["provenance"]["config"]
         assert (config["d"], config["seed"], config["epochs"]) == (8, 0, 3)
 
+    def test_resume_over_its_own_checkpoint_matches_an_uninterrupted_run(self, pipeline, tmp_path):
+        dataset = str(pipeline["data"] / "dataset.jsonl")
+        whole, ckpt = tmp_path / "whole.ckpt", tmp_path / "m.ckpt"
+        assert main(["train", "--dataset", dataset, "--checkpoint-out", str(whole),
+                     "--d", "8", "--epochs", "3"]) == 0
+        shutil.copyfile(pipeline["ckpt"], ckpt)
+        assert main(["train", "--dataset", dataset, "--checkpoint-out", str(ckpt),
+                     "--resume", str(ckpt), "--epochs", "3"]) == 0
+        assert ckpt.read_bytes() == whole.read_bytes()
+
     def test_resume_past_epochs_is_config_error(self, pipeline, tmp_path, capsys):
         rc = main(["train", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
                    "--checkpoint-out", str(tmp_path / "m.ckpt"),
@@ -534,6 +544,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "trained 2 epochs" in err and "the 1 asked for" in err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestMissingOutputDirectory:
+    """Output directories that do not exist are made before the work, not reported after it."""
+
+    def test_train_checkpoint_out(self, pipeline, tmp_path):
+        ckpt = tmp_path / "a" / "b" / "m.ckpt"
+        assert main(["train", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--checkpoint-out", str(ckpt), "--d", "8", "--epochs", "1"]) == 0
+        assert load_checkpoint(ckpt).epoch == 1
+
+    def test_train_log_out(self, pipeline, tmp_path):
+        log = tmp_path / "logs" / "train.jsonl"
+        assert main(["train", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--checkpoint-out", str(tmp_path / "m.ckpt"), "--log-out", str(log),
+                     "--d", "8", "--epochs", "1"]) == 0
+        with open(log) as fh:
+            assert [json.loads(line).get("epoch") for line in fh] == [None, 0]
+
+    def test_evaluate_out(self, pipeline, tmp_path):
+        out = tmp_path / "reports" / "m.json"
+        assert main(["evaluate", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--checkpoint", str(pipeline["ckpt"]), "--ks", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["command"] == "evaluate"
 
 
 def corrupt_vocab(lines, how):

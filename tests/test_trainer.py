@@ -230,10 +230,12 @@ class TestFlatLayout:
         adam = AdamState.fresh(params)
         assert type(adam.moment1) is type(params) and type(adam.moment2) is type(params)
         adam.moment1.flat[:] = 0.5
+        adam.moment2.flat[:] = np.arange(adam.moment2.flat.size) + 0.25
         path = tmp_path / "flat.ckpt"
         save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=adam, epoch=0, rng_seed=0))
-        header = 26     # magic, version and the fixed header fields
-        assert path.read_bytes()[header:header + params.flat.nbytes] == params.flat.tobytes()
+        header = 41     # magic, version, the model fields, epoch, Adam step and seed
+        data = path.read_bytes()
+        assert data[header:] == params.flat.tobytes() + adam.moment1.flat.tobytes() + adam.moment2.flat.tobytes()
         back = load_checkpoint(path)
         assert np.array_equal(back.params.flat, params.flat)
         self.assert_tiles(back.params.flat, back.params.tensors())
@@ -395,8 +397,8 @@ class TestCheckpointFormat:
     # sha256 of the checkpoint below.  It pins the tensor order, which is both
     # the byte layout and the init draw order, and the Adam-state layout.
     LAYOUT_SHA256 = {
-        "casif": "77fb4adc519985df5ed5625a694c1e39bf5646f52caf1c2971033edf768acb8c",
-        "casif_s": "6e41117e8864b4d8b952515a3b7e56ef8a5ff50702e1e7b3ad1fd58c33fc6fb0",
+        "casif": "92f58b3ccac0c9c2f791f66d1b99be1097cb51cf4a990d4c1c002dda28c04641",
+        "casif_s": "0ecd81bea620f3679692667c85ff76b2898853b9b76ae7ec8dc90ade737d8134",
     }
 
     @pytest.mark.parametrize("variant", ["casif", "casif_s"])
@@ -404,8 +406,8 @@ class TestCheckpointFormat:
         hp = HyperParams(d=3, gnn_steps=2, variant=variant)
         params = init_params(5, hp, seed=11)
         moment1, moment2 = init_params(5, hp, seed=12), init_params(5, hp, seed=13)
-        adam = AdamState(moment1=dict(moment1.tensors()),
-                         moment2={name: arr * arr for name, arr in moment2.tensors()}, t=7)
+        moment2.flat[:] = moment2.flat * moment2.flat
+        adam = AdamState(moment1=moment1, moment2=moment2, t=7)
         path = tmp_path / "pinned.ckpt"
         save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=adam, epoch=2, rng_seed=19))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.LAYOUT_SHA256[variant]
@@ -439,23 +441,13 @@ class TestCheckpointFormat:
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("flags", [0, 1, 2, 7])
-    def test_flags_other_than_3_are_a_data_error(self, tmp_path, flags):
-        # every file holds the Adam state and the seed; any other flags byte is a bad header
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version_detected(self, tmp_path, version):
         _, _, path = self.roundtrip(tmp_path)
         data = bytearray(path.read_bytes())
-        assert data[21] == 3
-        data[21] = flags
+        data[4:6] = version.to_bytes(2, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(DataError, match="bad header: flags"):
-            load_checkpoint(path)
-
-    def test_unsupported_version_detected(self, tmp_path):
-        _, _, path = self.roundtrip(tmp_path)
-        data = bytearray(path.read_bytes())
-        data[4:6] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(DataError, match="version"):
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, offset",
@@ -470,3 +462,24 @@ class TestCheckpointFormat:
         with pytest.raises(DataError, match=f"bad header: .*{field}") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        import casif.trainer
+        ckpt, _, path = self.roundtrip(tmp_path)
+        before = path.read_bytes()
+        write = casif.trainer._write_array
+        calls = []
+
+        def failing(fh, arr):
+            calls.append(arr)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            write(fh, arr)
+
+        monkeypatch.setattr(casif.trainer, "_write_array", failing)
+        ckpt.params.flat += 1.0
+        with pytest.raises(OSError):
+            save_checkpoint(path, ckpt)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).epoch == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
