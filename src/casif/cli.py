@@ -28,7 +28,7 @@ from . import config as config_mod
 from . import corpus, evaluation, synth, trainer
 from .errors import ConfigError, DataError, VerificationError
 from .graph import build_session_graph
-from .model import VARIANTS, HyperParams, forward, run_gradient_check
+from .model import VARIANTS, HyperParams, forward_batch, run_gradient_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,10 +79,24 @@ def _add_field_flags(parser, cls) -> None:
             parser.add_argument(flag, dest=f.name, type=types[f.name][0])
 
 
-def _make_parents(*paths) -> None:
-    """Create the parent directories of the output paths given (None skipped), before a command's work."""
-    for path in filter(None, paths):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+def _prepare_outputs(outputs: dict, inputs: dict, may_replace=()) -> None:
+    """Check a command's output paths and create their missing directories, before its work.
+
+    ``outputs`` and ``inputs`` map a flag to its path (None skipped).  An output
+    that is an existing directory, or resolves to an input or an earlier output,
+    is a configuration error, unless its (output, input) flags are in ``may_replace``.
+    """
+    taken = {flag: Path(path).resolve() for flag, path in inputs.items() if path}
+    outputs = {flag: Path(path) for flag, path in outputs.items() if path}
+    for flag, path in outputs.items():
+        if path.is_dir():
+            raise ConfigError(f"{flag} {path} is a directory")
+        for other, other_path in taken.items():
+            if path.resolve() == other_path and (flag, other) not in may_replace:
+                raise ConfigError(f"{flag} and {other} name the same file {path}")
+        taken[flag] = path.resolve()
+    for path in outputs.values():
+        path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def _settings(args, cls, **fixed):
@@ -148,7 +162,11 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     tc = _settings(args, trainer.TrainConfig, hp=_settings(args, HyperParams))
-    _make_parents(args.checkpoint_out, args.log_out)
+    log_path = args.log_out or f"{args.checkpoint_out}.log.jsonl"
+    _prepare_outputs({"--checkpoint-out": args.checkpoint_out, "--log-out": log_path},
+                     {"--dataset": args.dataset, "the --dataset vocabulary": f"{args.dataset}.vocab",
+                      "--resume": args.resume},
+                     may_replace=[("--checkpoint-out", "--resume")])
     ds = corpus.load_dataset(args.dataset)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
     if resume:
@@ -158,7 +176,6 @@ def cmd_train(args) -> int:
     result = trainer.train(ds, tc, resume=resume)
     trainer.save_checkpoint(args.checkpoint_out, result.checkpoint)
 
-    log_path = args.log_out or f"{args.checkpoint_out}.log.jsonl"
     provenance = _provenance("train", tc.hp, tc, dataset=str(args.dataset), resumed_from=args.resume,
                              machine=_machine())
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -190,7 +207,9 @@ def _parse_ks(text: str):
 
 def cmd_evaluate(args) -> int:
     ks = _parse_ks(args.ks)
-    _make_parents(args.out)
+    _prepare_outputs({"--out": args.out},
+                     {"--dataset": args.dataset, "the --dataset vocabulary": f"{args.dataset}.vocab",
+                      "--checkpoint": args.checkpoint})
     ds = corpus.load_dataset(args.dataset)
     examples = ds.train if args.split == "train" else ds.test
     if not examples:
@@ -236,10 +255,10 @@ def cmd_predict(args) -> int:
         raise DataError(f"unknown item ids: {', '.join(unknown)}")
 
     prefix = [vocab.raw_to_index[it] for it in raw_items]
-    trace = forward(corpus.PrefixExample(prefix, 0), ckpt.params, ckpt.hp)
-    top = evaluation.rank_topk(trace.logits, args.k)     # as evaluate ranks: probabilities can round equal
+    trace = forward_batch([corpus.PrefixExample(prefix, 0)], ckpt.params, ckpt.hp)
+    top = evaluation.rank_topk(trace.logits[0], args.k)     # as evaluate ranks: probabilities can round equal
     for index in top:
-        print(f"{vocab.index_to_raw[int(index)]}\t{trace.probs[int(index)]:.6g}")
+        print(f"{vocab.index_to_raw[int(index)]}\t{trace.probs[0, int(index)]:.6g}")
     return EXIT_OK
 
 
@@ -272,7 +291,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     spec = _settings(args, synth.SynthSpec)
     out = Path(args.out)
-    _make_parents(out)
+    _prepare_outputs({"--out": out}, {})
     sessions = synth.generate_sessions(spec)
     with open(out, "w", encoding="utf-8") as fh:
         clicks = synth.write_click_log(sessions, fh)

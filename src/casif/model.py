@@ -6,8 +6,8 @@ incoming/outgoing weight matrices, expansion back to session positions,
 an attention readout that conditions each position's score on the last
 click and the mean-pooled session context, two small tanh layers blending
 general and current interest, and a bilinear score against every item
-embedding.  The simplified variant ("casif_s") replaces the readout with a
-per-position attention that sees nothing but the position itself, and
+embedding.  The simplified variant ("casif_s") drops the readout's last-click
+and mean terms, so each position's score sees only the position itself, and
 scores the attention context directly.  The softmax over the scores and
 the loss run only when a caller first reads them: ranking needs only the
 scores, whose order the softmax keeps, so evaluation never computes it.
@@ -24,12 +24,12 @@ gradient.  Training and evaluation cut each batch into sub-batches of
 similar prefix length (``sub_batches``) to bound the padding and the
 memory of one pass.  ``forward_batch`` and ``backward_batch`` are the
 model's one API; ``forward`` and ``backward`` of one example are the
-batch of one, kept for ``casif predict`` and the benchmark's probes, and
-their ``ForwardTrace`` reads only the logits, probabilities and loss.
+batch of one, kept for the benchmark's probes, and their ``ForwardTrace``
+reads only the logits, probabilities and loss.
 
 The learnable tensors, their gradients and Adam's moments are one type,
 ``ModelParams``: named views of one float64 vector, in the order of the
-one layout table ``_LAYOUT``.
+one layout table ``_LAYOUT``, which both variants share.
 
 Everything is float64 numpy.  ``backward_batch`` is exact reverse-mode
 differentiation of the batch's summed loss; ``finite_difference_grad``
@@ -101,7 +101,7 @@ _LAYOUT = {
     "gate_cand_msg": ("2d", "d"),
     "gate_cand_self": ("d", "d"),
     "att_score": ("d",),         # weighting vector collapsing gate output to a scalar
-    "att_item": ("d", "d"),      # per-position transform
+    "att_item": ("d", "d"),      # per-position transform, the one casif_s reads too
     "att_last": ("d", "d"),      # last-click transform
     "att_mean": ("d", "d"),      # session-mean transform
     "att_bias": ("d",),
@@ -109,10 +109,7 @@ _LAYOUT = {
     "mlp_general_b": ("d",),
     "mlp_current_w": ("d", "d"),
     "mlp_current_b": ("d",),
-    "att_simple_w": ("d", "d"),
-    "att_simple_b": ("d",),
 }
-_SIMPLIFIED_ONLY = ("att_simple_w", "att_simple_b")     # held by casif_s alone
 
 
 class ModelParams(dict):
@@ -122,8 +119,7 @@ class ModelParams(dict):
     type.  ``flat`` holds the tensors row-major in the order of ``shapes``
     and is never copied; for parameters and moments it is byte for byte
     one of the checkpoint's three vectors.  Each tensor is also an attribute
-    (``params.emb``).  Parameters of the simplified variant hold
-    ``att_simple_w`` and ``att_simple_b``.
+    (``params.emb``).
     """
 
     def __init__(self, flat: np.ndarray, shapes):
@@ -161,23 +157,22 @@ class ModelParams(dict):
         return ModelParams, (self.flat, self.shapes())
 
 
-def _tensor_shapes(num_items: int, d: int, variant: str):
-    """Shape of every tensor the variant has, in declared order."""
+def _tensor_shapes(num_items: int, d: int):
+    """Shape of every tensor, in declared order."""
     dims = {"items": num_items, "d": d, "2d": 2 * d}
-    return {name: tuple(dims[x] for x in shape) for name, shape in _LAYOUT.items()
-            if variant == "casif_s" or name not in _SIMPLIFIED_ONLY}
+    return {name: tuple(dims[x] for x in shape) for name, shape in _LAYOUT.items()}
 
 
 def init_params(num_items: int, hp: HyperParams, seed: int) -> ModelParams:
     """Fresh parameters, every entry i.i.d. N(0, 0.1^2).
 
     Tensors are drawn from the init substream in declared order, so a
-    given (num_items, hp, seed) always yields bit-identical values.
+    given (num_items, hp.d, seed) yields bit-identical values for either variant.
     """
     if num_items < 1:
         raise ConfigError(f"num_items must be >= 1, got {num_items}")
     stream = SplitMix64(substream_seed(seed, STREAM_INIT))
-    shapes = _tensor_shapes(num_items, hp.d, hp.variant)
+    shapes = _tensor_shapes(num_items, hp.d)
     params = ModelParams(np.empty(sum(map(math.prod, shapes.values()))), shapes)
     for arr in params.values():
         arr[...] = stream.gaussian(arr.shape, std=INIT_STD)
@@ -373,10 +368,9 @@ def attention_global_interest(h_pos, h_last, session_mean, params: ModelParams):
 
 
 def casif_s_attention(h_pos, params: ModelParams):
-    """Simplified attention: each position scored from itself alone."""
-    if "att_simple_w" not in params:
-        raise ConfigError("simplified attention requires params built with variant='casif_s'")
-    return _readout(h_pos, _rows(h_pos, params.att_simple_w) + params.att_simple_b, params)
+    """Simplified attention: casif's without the last-click and mean terms, so
+    each position is scored from itself alone, as in SR-GNN's soft attention."""
+    return _readout(h_pos, _rows(h_pos, params.att_item) + params.att_bias, params)
 
 
 def interest_mlp(att_context, current_input, params: ModelParams):
@@ -523,12 +517,10 @@ def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grad
             d_h_last = d_current_in
         else:
             d_context += d_current_in
-        w_name, b_name = "att_item", "att_bias"
     else:
         d_context = d_blend
-        w_name, b_name = "att_simple_w", "att_simple_b"
 
-    # attention: alpha = gate @ att_score, context = alpha @ h_pos, gate = sigmoid(h_pos @ w + b),
+    # attention: alpha = gate @ att_score, context = alpha @ h_pos, gate = sigmoid(h_pos @ att_item + att_bias),
     # plus the last-click and session-mean terms in casif.  Padded positions have a zero
     # latent, so d_alpha and d_pre are zero there and they add nothing to any weight.
     h_pos, gate = trace.h_pos, trace.att_gate
@@ -536,10 +528,10 @@ def backward_batch(trace: BatchTrace, params: ModelParams, hp: HyperParams, grad
     d_h_pos = trace.alpha[:, :, None] * d_context[:, None, :]
     grads["att_score"] += gate.reshape(-1, d).T @ d_alpha.reshape(-1)
     d_pre = d_alpha[:, :, None] * params.att_score * gate * (1.0 - gate)
-    grads[w_name] += h_pos.reshape(-1, d).T @ d_pre.reshape(-1, d)
-    d_h_pos += _rows(d_pre, getattr(params, w_name).T)
+    grads["att_item"] += h_pos.reshape(-1, d).T @ d_pre.reshape(-1, d)
+    d_h_pos += _rows(d_pre, params.att_item.T)
     col = d_pre.sum(axis=1)
-    grads[b_name] += col.sum(axis=0)
+    grads["att_bias"] += col.sum(axis=0)
     if hp.variant == "casif":
         grads["att_last"] += h_pos[rows, last].T @ col
         d_h_last = d_h_last + col @ params.att_last.T

@@ -14,18 +14,18 @@ named tensors viewing one float64 vector ``flat``.  So Adam and the
 gradient scaling are whole-vector operations, and the checkpoint's payload
 is ``params.flat`` and the two moments' ``flat``, one write each.
 
-Checkpoint layout (all little-endian), version 2:
+Checkpoint layout (all little-endian), version 3:
 
     magic "CASF" | version u16 | d u32 | num_items u32 | gnn_steps u32
     variant u8 | loss u8 | current-interest u8 | epoch u32
     adam step counter u64 | rng seed u64                     (41 bytes)
     params.flat, moment1.flat, moment2.flat: float64, each tensor row-major in declared order
 
-The header fixes the file's length at 41 + 24 * size bytes for ``size``
-parameter entries, so a file of any other length is truncated or has
-trailing bytes.  Version-1 files are rejected by the version check.  A save
-writes a temporary file beside ``path`` and renames it over ``path``, so a
-save that fails leaves the previous file as it was.
+The header's ``d`` and item count fix the file's length, for either variant,
+at 41 + 24 * size bytes for ``size`` parameter entries; a file of any other
+length is truncated or has trailing bytes.  Versions 1 and 2 fail the version
+check.  A save writes a temporary file beside ``path`` and renames it over
+``path``, so a save that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .model import (
 from .rng import STREAM_SHUFFLE, SplitMix64, substream_seed
 
 CHECKPOINT_MAGIC = b"CASF"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # magic, version, d, num_items, gnn_steps, variant, loss, current-interest, epoch, adam step, rng seed
 _HEADER = struct.Struct("<4sHIIIBBBIQQ")
@@ -190,9 +190,10 @@ def train(
 
     Per batch: mean example loss plus l2_lambda * sum of squared parameter
     entries, gradients to match, one Adam step at the epoch's learning
-    rate.  Pass a checkpoint to continue from its epoch, with its
-    parameters, Adam state, model settings and seed in place of ``cfg``'s;
-    the result is bit-identical to a run that never stopped.
+    rate.  The penalty covers every entry, so it also moves the tensors
+    casif_s does not read.  Pass a checkpoint to continue from its epoch,
+    with its parameters, Adam state, model settings and seed in place of
+    ``cfg``'s; the result is bit-identical to a run that never stopped.
     """
     if not dataset.train:
         raise DataError("dataset has no training examples")
@@ -295,7 +296,7 @@ def load_checkpoint(path) -> Checkpoint:
         if num_items < 1:
             raise DataError(f"{path}: bad header: num_items must be >= 1, got {num_items}")
 
-        shapes = _tensor_shapes(num_items, d, hp.variant)
+        shapes = _tensor_shapes(num_items, d)
         size = sum(math.prod(shape) for shape in shapes.values())
         # the one length check, before any allocation: a corrupt header cannot ask for
         # more than the file holds, and the read below cannot come up short

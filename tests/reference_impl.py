@@ -118,7 +118,7 @@ def ref_forward(prefix, label, params, *, gnn_steps=1, variant="casif",
     else:
         alpha = []
         for t in range(n):
-            gate = [_sig(_matvec_row(h_pos[t], p["att_simple_w"], j) + p["att_simple_b"][j])
+            gate = [_sig(_matvec_row(h_pos[t], p["att_item"], j) + p["att_bias"][j])
                     for j in range(d)]
             alpha.append(sum(gate[j] * p["att_score"][j] for j in range(d)))
         blend = [sum(alpha[t] * h_pos[t][j] for t in range(n)) for j in range(d)]

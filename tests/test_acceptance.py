@@ -184,13 +184,14 @@ class TestAcceptance:
                   and all(np.isfinite(s_losses)) and s_losses[-1] < s_losses[0])
 
         # exact invariance: the simplified attention never reads the last-click
-        # or session-mean conditioning, so corrupting those tensors changes nothing
+        # or session-mean conditioning, nor casif_s the interest layers, so
+        # corrupting those tensors changes nothing
         params = result_s.params
         example = PrefixExample(ds.test[0].prefix, ds.test[0].label)
         base = forward_batch([example], params, hp_s)
         doctored = params.copy()
         rng = np.random.default_rng(0)
-        for name in ("att_item", "att_last", "att_mean", "att_bias"):
+        for name in ("att_last", "att_mean", "mlp_general_w", "mlp_general_b", "mlp_current_w", "mlp_current_b"):
             getattr(doctored, name)[:] = rng.normal(size=getattr(doctored, name).shape)
         again = forward_batch([example], doctored, hp_s)
         invariant = (np.array_equal(base.alpha[0], again.alpha[0])

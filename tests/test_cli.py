@@ -570,6 +570,57 @@ class TestMissingOutputDirectory:
         assert json.loads(out.read_text())["provenance"]["command"] == "evaluate"
 
 
+class TestOutputNamesAnInput:
+    """An output that names an input, another output or an existing directory is exit 1, before any work."""
+
+    # {data} and {vocab} are a dataset and its vocabulary, {ckpt} and {old_log} checkpoints,
+    # {dir} an empty directory; every case must name both flags and leave every file as it was
+    CASES = {
+        "log-out-is-checkpoint-out": (["train", "--dataset", "{data}", "--checkpoint-out", "{ckpt}",
+                                       "--log-out", "{ckpt}"], "--log-out and --checkpoint-out"),
+        "log-out-is-dataset": (["train", "--dataset", "{data}", "--checkpoint-out", "{new}",
+                                "--log-out", "{data}"], "--log-out and --dataset"),
+        "checkpoint-out-is-dataset": (["train", "--dataset", "{data}", "--checkpoint-out", "{data}"],
+                                      "--checkpoint-out and --dataset"),
+        "checkpoint-out-is-vocab": (["train", "--dataset", "{data}", "--checkpoint-out", "{vocab}"],
+                                    "--checkpoint-out and the --dataset vocabulary"),
+        "log-out-is-resume": (["train", "--dataset", "{data}", "--resume", "{ckpt}", "--checkpoint-out", "{new}",
+                               "--log-out", "{ckpt}"], "--log-out and --resume"),
+        "default-log-is-resume": (["train", "--dataset", "{data}", "--resume", "{old_log}",
+                                   "--checkpoint-out", "{old}"], "--log-out and --resume"),
+        "checkpoint-out-is-directory": (["train", "--dataset", "{data}", "--checkpoint-out", "{dir}"],
+                                        "--checkpoint-out"),
+        "evaluate-out-is-checkpoint": (["evaluate", "--dataset", "{data}", "--checkpoint", "{ckpt}",
+                                        "--out", "{ckpt}"], "--out and --checkpoint"),
+        "evaluate-out-is-dataset-by-another-path": (["evaluate", "--dataset", "{data}", "--baseline", "pop",
+                                                     "--out", "{dir}/../d/dataset.jsonl"], "--out and --dataset"),
+        "evaluate-out-is-vocab": (["evaluate", "--dataset", "{data}", "--checkpoint", "{ckpt}",
+                                   "--out", "{vocab}"], "--out and the --dataset vocabulary"),
+        "evaluate-out-is-directory": (["evaluate", "--dataset", "{data}", "--checkpoint", "{ckpt}",
+                                       "--out", "{dir}"], "--out"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_1_and_inputs_untouched(self, pipeline, tmp_path, capsys, case):
+        argv, flags = self.CASES[case]
+        (tmp_path / "d").mkdir()
+        (tmp_path / "dir").mkdir()
+        shutil.copyfile(pipeline["data"] / "dataset.jsonl", tmp_path / "d" / "dataset.jsonl")
+        shutil.copyfile(pipeline["data"] / "dataset.jsonl.vocab", tmp_path / "d" / "dataset.jsonl.vocab")
+        shutil.copyfile(pipeline["ckpt"], tmp_path / "m.ckpt")
+        shutil.copyfile(pipeline["ckpt"], tmp_path / "old.log.jsonl")
+        names = {"data": "d/dataset.jsonl", "vocab": "d/dataset.jsonl.vocab", "ckpt": "m.ckpt",
+                 "new": "new.ckpt", "old": "old", "old_log": "old.log.jsonl", "dir": "dir"}
+        paths = {key: str(tmp_path / name) for key, name in names.items()}
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        # settings under which each command would otherwise run to the end
+        settings = ["--d", "8", "--epochs", "3"] if argv[0] == "train" else ["--ks", "5"]
+        assert main([arg.format_map(paths) for arg in argv] + settings) == 1
+        assert flags in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not any((tmp_path / "dir").iterdir())
+
+
 def corrupt_vocab(lines, how):
     """Vocabulary file lines, as bytes, with the one defect `how` names (see VOCAB_DEFECTS)."""
     recs = [json.loads(line) for line in lines]

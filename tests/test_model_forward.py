@@ -16,8 +16,8 @@ from casif.model import (
 from reference_impl import ref_eq13, ref_forward
 
 
-def zero_params(num_items, d, variant="casif", emb=None):
-    shapes = _tensor_shapes(num_items, d, variant)
+def zero_params(num_items, d, emb=None):
+    shapes = _tensor_shapes(num_items, d)
     params = ModelParams(np.zeros(sum(math.prod(shape) for shape in shapes.values())), shapes)
     if emb is not None:
         params.emb[:] = emb
@@ -209,16 +209,32 @@ class TestForwardProperties:
             forward(PrefixExample([0], 5), params, hp)   # label out of range
 
     def test_simplified_attention_ignores_session_context(self):
-        # conditioning tensors may be arbitrarily corrupted: outputs identical
+        # conditioning and interest tensors may be arbitrarily corrupted: outputs identical
         params, hp = self.make(variant="casif_s", seed=9)
         base = forward_batch([PrefixExample([1, 2, 3, 2], 0)], params, hp)
         doctored = params.copy()
         rng = np.random.default_rng(0)
-        for name in ("att_item", "att_last", "att_mean", "att_bias"):
+        for name in ("att_last", "att_mean", "mlp_general_w", "mlp_general_b", "mlp_current_w", "mlp_current_b"):
             getattr(doctored, name)[:] = rng.normal(size=getattr(doctored, name).shape)
         again = forward_batch([PrefixExample([1, 2, 3, 2], 0)], doctored, hp)
         assert np.array_equal(base.alpha[0], again.alpha[0])
         assert np.array_equal(base.probs[0], again.probs[0])
+
+    def test_simplified_attention_reads_att_item(self):
+        params, hp = self.make(variant="casif_s", seed=9)
+        base = forward_batch([PrefixExample([1, 2, 3, 2], 0)], params, hp)
+        doctored = params.copy()
+        doctored.att_item[:] = np.random.default_rng(0).normal(size=doctored.att_item.shape)
+        again = forward_batch([PrefixExample([1, 2, 3, 2], 0)], doctored, hp)
+        assert not np.array_equal(base.alpha[0], again.alpha[0])
+
+    def test_simplified_attention_is_casif_attention_without_conditioning(self):
+        params, _ = self.make(seed=4)
+        params.att_last[:] = params.att_mean[:] = 0.0
+        h = np.random.default_rng(1).normal(size=(2, 4, 5))
+        full = attention_global_interest(h, h[:, -1], h.mean(axis=1), params)
+        simple = casif_s_attention(h, params)
+        assert all(np.array_equal(a, b) for a, b in zip(full, simple))
 
     def test_simplified_scores_context_directly(self):
         params, hp = self.make(variant="casif_s", seed=5)
@@ -239,11 +255,6 @@ class TestComponentShapes:
         assert alpha.shape == (3,) and context.shape == (4,) and gate.shape == (3, 4)
         # identical rows get identical coefficients
         assert np.allclose(alpha, alpha[0])
-
-    def test_simplified_attention_requires_its_tensors(self):
-        params, _ = TestForwardProperties().make(variant="casif")
-        with pytest.raises(Exception):
-            casif_s_attention(np.ones((2, 5)), params)
 
     def test_score_shapes(self):
         emb = np.arange(12.0).reshape(4, 3)

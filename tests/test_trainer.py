@@ -152,7 +152,7 @@ class TestAdam:
             assert np.array_equal(state.moment1[name], ref_m1[name]), name
             assert np.array_equal(state.moment2[name], ref_m2[name]), name
 
-    @pytest.mark.parametrize("variant, last", [("casif", "mlp_current_b"), ("casif_s", "att_simple_b")])
+    @pytest.mark.parametrize("variant, last", [("casif", "mlp_current_b"), ("casif_s", "mlp_current_b")])
     def test_non_finite_in_last_tensor_named_with_coordinate(self, variant, last):
         hp = HyperParams(d=4, variant=variant)
         params = init_params(5, hp, seed=2)
@@ -244,6 +244,26 @@ class TestFlatLayout:
             self.assert_tiles(moment.flat, list(moment.items()))
 
 
+class TestOneLayout:
+    """Both variants hold the same tensors: one init and one checkpoint length."""
+
+    def test_variants_draw_the_same_init(self):
+        casif, casif_s = (init_params(7, HyperParams(d=4, gnn_steps=2, variant=v), seed=5) for v in VARIANTS)
+        assert casif.shapes() == casif_s.shapes()
+        assert np.array_equal(casif.flat, casif_s.flat)
+
+    def test_checkpoint_length_depends_on_d_and_items_only(self, tmp_path):
+        lengths = []
+        for variant in VARIANTS:
+            hp = HyperParams(d=4, variant=variant)
+            params = init_params(7, hp, seed=5)
+            path = tmp_path / f"{variant}.ckpt"
+            save_checkpoint(path, Checkpoint(hp=hp, params=params, adam=AdamState.fresh(params),
+                                             epoch=0, rng_seed=0))
+            lengths.append(path.stat().st_size)
+        assert lengths == [41 + 24 * params.flat.size] * 2
+
+
 class TestConfigValidation:
     def test_bad_values_rejected(self):
         nan, inf = float("nan"), float("inf")
@@ -273,17 +293,21 @@ class TestTrainingLoop:
         # descent must be unmistakable
         assert losses[-1] < losses[0] - 0.3
 
-    def test_casif_s_leaves_its_unused_tensors_at_their_init(self):
-        # README: a casif_s checkpoint holds the conditioning and interest tensors, which get zero gradient
+    @pytest.mark.parametrize("l2_lambda", [0.0, 1e-5])
+    def test_casif_s_leaves_its_unused_tensors_at_their_init(self, l2_lambda):
+        # README: a casif_s checkpoint holds the conditioning and interest tensors, which get zero
+        # model gradient; only the L2 penalty, when on, moves them
+        unused = ("att_last", "att_mean", "mlp_general_w", "mlp_general_b", "mlp_current_w", "mlp_current_b")
         ds = toy_dataset(n_sessions=20, seed=7)
         hp = HyperParams(d=6, variant="casif_s")
-        cfg = small_cfg(epochs=1, batch_size=4, hp=hp, l2_lambda=0.0, seed=3)
+        cfg = small_cfg(epochs=1, batch_size=4, hp=hp, l2_lambda=l2_lambda, seed=3)
         trained = train(ds, cfg).params
         init = init_params(ds.num_items, hp, cfg.seed)
-        assert not np.array_equal(trained.att_simple_w, init.att_simple_w)
-        for name in ("att_item", "att_last", "att_mean", "att_bias",
-                     "mlp_general_w", "mlp_general_b", "mlp_current_w", "mlp_current_b"):
-            assert np.array_equal(trained[name], init[name]), name
+        assert not np.array_equal(trained.att_item, init.att_item)
+        grads = backward_batch(forward_batch(ds.train, trained, hp), trained, hp)
+        for name in unused:
+            assert np.all(grads[name] == 0.0), name
+            assert np.array_equal(trained[name], init[name]) == (l2_lambda == 0.0), name
 
     def test_l2_term_included_in_reported_loss(self):
         ds = toy_dataset(seed=5)
@@ -392,13 +416,13 @@ class TestCheckpointFormat:
     def test_round_trip_simplified_variant(self, tmp_path):
         ckpt, back, _ = self.roundtrip(tmp_path, variant="casif_s")
         assert back.hp.variant == "casif_s"
-        assert np.array_equal(back.params.att_simple_w, ckpt.params.att_simple_w)
+        assert np.array_equal(back.params.att_item, ckpt.params.att_item)
 
     # sha256 of the checkpoint below.  It pins the tensor order, which is both
     # the byte layout and the init draw order, and the Adam-state layout.
     LAYOUT_SHA256 = {
-        "casif": "92f58b3ccac0c9c2f791f66d1b99be1097cb51cf4a990d4c1c002dda28c04641",
-        "casif_s": "0ecd81bea620f3679692667c85ff76b2898853b9b76ae7ec8dc90ade737d8134",
+        "casif": "81e53b973a7d4d86c21e1e952e480ce08d1f081607ba5e0954eb3713403b072b",
+        "casif_s": "d2aa1b68a82f933cf5f9e67992a33024191620ad2e690ac5f2cb02af19b5f537",
     }
 
     @pytest.mark.parametrize("variant", ["casif", "casif_s"])
@@ -441,7 +465,7 @@ class TestCheckpointFormat:
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_version_detected(self, tmp_path, version):
         _, _, path = self.roundtrip(tmp_path)
         data = bytearray(path.read_bytes())
