@@ -79,23 +79,27 @@ def _add_field_flags(parser, cls) -> None:
             parser.add_argument(flag, dest=f.name, type=types[f.name][0])
 
 
-def _prepare_outputs(outputs: dict, inputs: dict, may_replace=()) -> None:
+def _prepare_outputs(outputs: dict, inputs: dict, may_replace=(), make_dirs=True) -> None:
     """Check a command's output paths and create their missing directories, before its work.
 
     ``outputs`` and ``inputs`` map a flag to its path (None skipped).  An output
-    that is an existing directory, or resolves to an input or an earlier output,
-    is a configuration error, unless its (output, input) flags are in ``may_replace``.
+    that is an existing directory, lies under an existing file, or resolves to an
+    input or an earlier output, is a configuration error, unless its (output, input)
+    flags are in ``may_replace``.  With ``make_dirs`` false the caller makes them.
     """
     taken = {flag: Path(path).resolve() for flag, path in inputs.items() if path}
     outputs = {flag: Path(path) for flag, path in outputs.items() if path}
     for flag, path in outputs.items():
         if path.is_dir():
             raise ConfigError(f"{flag} {path} is a directory")
+        nearest = next(parent for parent in path.parents if parent.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"{flag} {path}: {nearest} is not a directory")
         for other, other_path in taken.items():
             if path.resolve() == other_path and (flag, other) not in may_replace:
                 raise ConfigError(f"{flag} and {other} name the same file {path}")
         taken[flag] = path.resolve()
-    for path in outputs.values():
+    for path in outputs.values() if make_dirs else ():
         path.parent.mkdir(parents=True, exist_ok=True)
 
 
@@ -111,7 +115,11 @@ def _settings(args, cls, **fixed):
 
 def cmd_preprocess(args) -> int:
     settings = _settings(args, corpus.PreprocessConfig)
-    in_path = Path(args.input)
+    in_path, out_dir = Path(args.input), Path(args.out_dir)
+    # --out-dir is made only once the log has been read
+    names = ["dataset.jsonl", "dataset.jsonl.vocab", "stats.json"] + (["graphs.jsonl"] if args.dump_graphs else [])
+    _prepare_outputs({f"--out-dir's {name}": out_dir / name for name in names}, {"--input": in_path},
+                     make_dirs=False)
     provenance = _provenance("preprocess", settings, input=str(in_path))
     # surrogateescape: a line that is not UTF-8 is one malformed line, not an aborted read
     with open(in_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -119,7 +127,6 @@ def cmd_preprocess(args) -> int:
             ds, skipped = corpus.preprocess(fh, settings, provenance)
         except DataError as exc:
             raise DataError(f"{in_path}: {exc}") from exc
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.jsonl"
     corpus.persist_dataset(ds, dataset_path)

@@ -106,7 +106,7 @@ def evaluate_model(params: ModelParams, hp: HyperParams, examples, ks=DEFAULT_KS
     if not examples:
         raise DataError("cannot evaluate on zero examples")
     ranks = np.empty(len(examples), dtype=np.int64)
-    for rows in sub_batches(examples, params.num_items, hp):
+    for rows in sub_batches(examples, params.num_items, hp, scoring=True):
         trace = forward_batch([examples[i] for i in rows], params, hp)
         ranks[rows] = _label_ranks(trace.logits, trace.labels)    # the softmax is never read
         del trace       # so that it is freed before the next sub-batch's forward pass

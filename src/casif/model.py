@@ -22,7 +22,10 @@ GEMM.  A padded node has no edges and no position and a padded position
 holds a zero latent, so padding adds exact zeros to every real value and
 gradient.  Training and evaluation cut each batch into sub-batches of
 similar prefix length (``sub_batches``) to bound the padding and the
-memory of one pass.  ``forward_batch`` and ``backward_batch`` are the
+memory of one pass: training's limit counts the activations, their
+gradients and the loss pass's score rows; a scoring pass, which only
+ranks, counts its forward activations and, apart, its logits, and so
+runs wider sub-batches.  ``forward_batch`` and ``backward_batch`` are the
 model's one API; ``forward`` and ``backward`` of one example are the
 batch of one, kept for the benchmark's probes, and their ``ForwardTrace``
 reads only the logits, probabilities and loss.
@@ -183,25 +186,43 @@ def zero_gradients(params: ModelParams) -> ModelParams:
     return ModelParams(np.zeros_like(params.flat), params.shapes())
 
 
-# Memory budget of one sub-batch's forward and backward pass.  Measured, one example
-# takes about 6 floats per catalog item (its score rows) plus 10 (gnn_steps + 2) per
-# position and embedding dimension (node states, gates, attention and their gradients).
+# Memory budget of one sub-batch's pass.  Measured, a training pass (forward, loss pass and
+# backward) takes per example about 6 floats per catalog item (its score rows) plus
+# 10 (gnn_steps + 2) per position and embedding dimension (node states, gates, attention and
+# their gradients).  A scoring pass (forward, then the label ranks) keeps no gradient and is
+# counted 5 (gnn_steps + 2) per position and dimension, its logits apart: tracemalloc measured
+# 3.9-6.0 over d 32 and 100, 1 and 2 steps, both variants, prefixes of 2-50 distinct items
+# (6.8 at one click) and widths 8 and 64, where training measured 8.6-10.4 from 5 items on.
 SUB_BATCH_BYTES = 1536 * 1024
+# Budget of a scoring pass's (B, N) logits, counted apart from its activations.  Scoring
+# 1024 random prefixes of 1-7 clicks at 43,097 items and d=100 (one BLAS thread, medians of
+# 3 interleaved runs) gave 480 ex/s at 1 row per sub-batch, 1.0k at 2 MiB, 1.4k at 4 MiB and
+# 1.7-1.8k from 8 MiB on; from 16 MiB the activations bind (28 rows on average, 31 at 64 MiB).
+SCORE_BYTES = 16 * 1024 * 1024
 
 
-def sub_batches(examples, num_items: int, hp: HyperParams) -> list[list[int]]:
+def _example_costs(num_items: int, hp: HyperParams, length: int, scoring: bool):
+    """(bytes per example, budget) of every limit on a sub-batch whose longest prefix has ``length``."""
+    floats = (hp.gnn_steps + 2) * length * hp.d
+    if scoring:
+        return (8 * 5 * floats, SUB_BATCH_BYTES), (8 * num_items, SCORE_BYTES)
+    return ((8 * (6 * num_items + 10 * floats), SUB_BATCH_BYTES),)
+
+
+def sub_batches(examples, num_items: int, hp: HyperParams, scoring: bool = False) -> list[list[int]]:
     """Index lists cutting ``examples`` into sub-batches of similar prefix length.
 
     The examples are stably sorted by prefix length, so a given list
     always yields the same sub-batches, and cut before an example would
-    take its sub-batch past SUB_BATCH_BYTES.  Every sub-batch holds at
-    least one example.
+    take its sub-batch past a limit: training's, or with ``scoring`` the
+    forward-only activations and, apart, the logits of a pass that only
+    ranks.  Every sub-batch holds at least one example.
     """
     chunks: list[list[int]] = []
     for i in sorted(range(len(examples)), key=lambda i: len(examples[i].prefix)):
         # sorted, so the newest example is the longest and sets the padded size
-        cost = 8 * (6 * num_items + 10 * (hp.gnn_steps + 2) * len(examples[i].prefix) * hp.d)
-        if chunks and (len(chunks[-1]) + 1) * cost <= SUB_BATCH_BYTES:
+        costs = _example_costs(num_items, hp, len(examples[i].prefix), scoring)
+        if chunks and all((len(chunks[-1]) + 1) * cost <= budget for cost, budget in costs):
             chunks[-1].append(i)
         else:
             chunks.append([i])

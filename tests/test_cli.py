@@ -590,6 +590,8 @@ class TestOutputNamesAnInput:
                                    "--checkpoint-out", "{old}"], "--log-out and --resume"),
         "checkpoint-out-is-directory": (["train", "--dataset", "{data}", "--checkpoint-out", "{dir}"],
                                         "--checkpoint-out"),
+        "checkpoint-out-under-a-file": (["train", "--dataset", "{data}", "--checkpoint-out", "{ckpt}/m.ckpt"],
+                                        "m.ckpt is not a directory"),
         "evaluate-out-is-checkpoint": (["evaluate", "--dataset", "{data}", "--checkpoint", "{ckpt}",
                                         "--out", "{ckpt}"], "--out and --checkpoint"),
         "evaluate-out-is-dataset-by-another-path": (["evaluate", "--dataset", "{data}", "--baseline", "pop",
@@ -619,6 +621,43 @@ class TestOutputNamesAnInput:
         assert flags in capsys.readouterr().err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not any((tmp_path / "dir").iterdir())
+
+
+class TestPreprocessOutputs:
+    """preprocess checks the files it would write under --out-dir before it reads the log: exit 1, nothing written."""
+
+    @pytest.fixture
+    def run(self, pipeline, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the log was read")
+
+        def run(argv, names):
+            before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+            monkeypatch.setattr("casif.cli.corpus.preprocess", refuse)
+            monkeypatch.chdir(tmp_path)
+            assert main(["preprocess", *argv]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and all(name in err for name in names), err
+            assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        return run
+
+    @pytest.mark.parametrize("name", ["dataset.jsonl", "dataset.jsonl.vocab", "stats.json", "graphs.jsonl"])
+    def test_input_is_an_output(self, pipeline, tmp_path, run, name):
+        (tmp_path / "out").mkdir()
+        shutil.copyfile(pipeline["raw"], tmp_path / "out" / name)
+        run(["--input", f"out/{name}", "--out-dir", "out", "--dump-graphs"],
+            [f"--out-dir's {name} and --input", f"out/{name}"])
+
+    def test_out_dir_is_a_file(self, pipeline, tmp_path, run):
+        shutil.copyfile(pipeline["raw"], tmp_path / "raw.csv")
+        (tmp_path / "afile").write_text("not a directory\n")
+        run(["--input", "raw.csv", "--out-dir", "afile"], ["afile/dataset.jsonl", "afile is not a directory"])
+
+    def test_stats_is_a_directory(self, pipeline, tmp_path, run):
+        shutil.copyfile(pipeline["raw"], tmp_path / "raw.csv")
+        (tmp_path / "out" / "stats.json").mkdir(parents=True)
+        run(["--input", "raw.csv", "--out-dir", "out"], ["--out-dir's stats.json", "out/stats.json is a directory"])
+        assert not (tmp_path / "out" / "dataset.jsonl").exists()
 
 
 def corrupt_vocab(lines, how):

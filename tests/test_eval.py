@@ -13,6 +13,7 @@ from casif import (
 )
 from casif.errors import ConfigError, DataError
 from casif.evaluation import SHORT_MAX_LEN, MetricsReport, _label_ranks
+from casif.model import VARIANTS, forward_batch, sub_batches
 from reference_impl import ref_rank_metrics
 from test_model_forward import zero_params
 
@@ -200,6 +201,58 @@ class TestModelEvaluation:
         hp = HyperParams(d=4)
         with pytest.raises(DataError):
             evaluate_model(init_params(5, hp, seed=0), hp, [], ks=(1,))
+
+    @staticmethod
+    def three_partitions(params, hp, examples):
+        """Label ranks from evaluate_model, from training's sub-batches and from batches of one."""
+        num_items = params.num_items
+        scoring, training = sub_batches(examples, num_items, hp, scoring=True), sub_batches(examples, num_items, hp)
+        assert len(scoring) < len(training)
+        by_training = np.empty(len(examples), dtype=np.int64)
+        for rows in training:
+            trace = forward_batch([examples[i] for i in rows], params, hp)
+            by_training[rows] = _label_ranks(trace.logits, trace.labels)
+        alone = np.array([label_rank(forward_batch([ex], params, hp).logits[0], ex.label) for ex in examples])
+        return evaluate_model(params, hp, examples, ks=(20,)).ranks, by_training, alone
+
+    @staticmethod
+    def random_examples(num_items, seed):
+        # the last item is in no prefix, so a NaN embedding row gives NaN scores but finite activations
+        rng = np.random.default_rng(seed)
+        return [PrefixExample([int(x) for x in rng.integers(0, num_items - 1, size=1 + i % 9)],
+                              int(rng.integers(0, num_items - 1))) for i in range(300)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ranks_do_not_depend_on_the_partition(self, variant):
+        # zero embedding rows score exactly 0 in any product, so their items tie exactly; item 1499 scores NaN
+        num_items, hp = 1500, HyperParams(d=4, variant=variant)
+        params = init_params(num_items, hp, seed=2)
+        examples = self.random_examples(num_items, seed=5)
+        zero = [ex.label for ex in examples[::3]]
+        params.emb[zero] = 0.0
+        params.emb[-1] = np.nan
+        examples[7] = PrefixExample(examples[7].prefix, num_items - 1)
+        ranks, by_training, alone = self.three_partitions(params, hp, examples)
+        assert ranks[7] == num_items      # NaN ranks after every number
+        for ex, rank in zip(examples[::3], ranks[::3]):   # after every positive score and the zero rows before it
+            logits = forward_batch([ex], params, hp).logits[0]
+            assert rank == 1 + (logits > 0).sum() + np.isin(np.arange(ex.label), zero).sum()
+        assert ranks.tolist() == by_training.tolist() == alone.tolist()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_partition_moves_a_rank_only_among_equal_embeddings(self, variant):
+        # rounded embeddings repeat rows; their scores are equal in exact arithmetic, but depending on its
+        # row count the score product can round the catalog's last N mod 8 columns apart, so a rank may move
+        num_items, hp = 1500, HyperParams(d=4, variant=variant)
+        params = init_params(num_items, hp, seed=2)
+        params.emb[...] = np.round(params.emb, 1)
+        examples = self.random_examples(num_items, seed=5)
+        for ranks in self.three_partitions(params, hp, examples):
+            for ex, rank in zip(examples, ranks):
+                logits = forward_batch([ex], params, hp).logits[0]
+                equal = (params.emb == params.emb[ex.label]).all(axis=1)
+                first = 1 + int((logits[~equal] > logits[ex.label]).sum())
+                assert first <= rank < first + equal.sum()
 
 
 class TestPopBaseline:

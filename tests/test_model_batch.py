@@ -9,6 +9,7 @@ from casif import HyperParams, PrefixExample, evaluate_model, forward, init_para
 from casif.evaluation import _label_ranks
 from casif.model import (
     LOSS_VARIANTS,
+    SCORE_BYTES,
     SUB_BATCH_BYTES,
     VARIANTS,
     backward_batch,
@@ -126,6 +127,34 @@ class TestSubBatches:
     def test_an_oversized_example_gets_its_own_sub_batch(self):
         examples = [PrefixExample([0], 0), PrefixExample([0] * 50, 0)]
         assert sub_batches(examples, 10**6, HyperParams(d=32)) == [[0], [1]]
+
+    @pytest.mark.parametrize("num_items, hp", [(1364, HyperParams(d=32)), (43097, HyperParams(d=100, gnn_steps=2))])
+    def test_scoring_keeps_the_stable_length_order_and_both_limits(self, num_items, hp):
+        rng = np.random.default_rng(7)
+        examples = [PrefixExample([0] * int(n), 0) for n in rng.integers(1, 50, size=300)]
+        chunks = sub_batches(examples, num_items, hp, scoring=True)
+        flat = [i for chunk in chunks for i in chunk]
+        assert flat == sorted(range(len(examples)), key=lambda i: len(examples[i].prefix))
+
+        def within_limits(chunk):
+            longest = max(len(examples[i].prefix) for i in chunk)
+            return (len(chunk) * 8 * 5 * (hp.gnn_steps + 2) * longest * hp.d <= SUB_BATCH_BYTES
+                    and len(chunk) * 8 * num_items <= SCORE_BYTES)
+
+        assert all(within_limits(chunk) for chunk in chunks if len(chunk) > 1)
+        # each cut is needed: the next sub-batch's first example would break a limit
+        assert not any(within_limits(chunk + nxt[:1]) for chunk, nxt in zip(chunks, chunks[1:]))
+
+    def test_a_scoring_example_over_either_limit_gets_its_own_sub_batch(self):
+        short, long_ = PrefixExample([0], 0), PrefixExample([0] * 410, 0)     # 8 * 5 * 3 * 410 * 32 > 1.5 MiB
+        assert sub_batches([short, short], SCORE_BYTES // 8 + 1, HyperParams(d=32), scoring=True) == [[0], [1]]
+        assert sub_batches([short, long_, long_], 10, HyperParams(d=32), scoring=True) == [[0], [1], [2]]
+
+    def test_scoring_sub_batches_are_wider_than_training_ones(self):
+        rng = np.random.default_rng(7)
+        examples = [PrefixExample([0] * int(n), 0) for n in rng.integers(1, 8, size=300)]
+        hp = HyperParams(d=32)
+        assert len(sub_batches(examples, 1364, hp, scoring=True)) < len(sub_batches(examples, 1364, hp))
 
 
 def test_loss_is_computed_only_when_read(monkeypatch):
