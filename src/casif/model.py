@@ -22,13 +22,14 @@ GEMM.  A padded node has no edges and no position and a padded position
 holds a zero latent, so padding adds exact zeros to every real value and
 gradient.  Training and evaluation cut each batch into sub-batches of
 similar prefix length (``sub_batches``) to bound the padding and the
-memory of one pass: training's limit counts the activations, their
-gradients and the loss pass's score rows; a scoring pass, which only
-ranks, counts its forward activations and, apart, its logits, and so
-runs wider sub-batches.  ``forward_batch`` and ``backward_batch`` are the
-model's one API; ``forward`` and ``backward`` of one example are the
-batch of one, kept for the benchmark's probes, and their ``ForwardTrace``
-reads only the logits, probabilities and loss.
+memory of one pass.  One cost model sets either kind of pass two limits,
+its activations and, apart, its (B, N) score rows; only the coefficients
+differ, since training keeps gradients and the loss pass's rows, and a
+scoring pass, which only ranks, its forward activations and logits.
+``forward_batch`` and ``backward_batch`` are the model's one API;
+``forward`` and ``backward`` of one example are the batch of one, kept
+for the benchmark's probes, and their ``ForwardTrace`` reads only the
+logits, probabilities and loss.
 
 The learnable tensors, their gradients and Adam's moments are one type,
 ``ModelParams``: named views of one float64 vector, in the order of the
@@ -186,27 +187,25 @@ def zero_gradients(params: ModelParams) -> ModelParams:
     return ModelParams(np.zeros_like(params.flat), params.shapes())
 
 
-# Memory budget of one sub-batch's pass.  Measured, a training pass (forward, loss pass and
-# backward) takes per example about 6 floats per catalog item (its score rows) plus
-# 10 (gnn_steps + 2) per position and embedding dimension (node states, gates, attention and
-# their gradients).  A scoring pass (forward, then the label ranks) keeps no gradient and is
-# counted 5 (gnn_steps + 2) per position and dimension, its logits apart: tracemalloc measured
-# 3.9-6.0 over d 32 and 100, 1 and 2 steps, both variants, prefixes of 2-50 distinct items
-# (6.8 at one click) and widths 8 and 64, where training measured 8.6-10.4 from 5 items on.
+# Budgets of one sub-batch's pass, each counted per example at its longest prefix.  Activations:
+# 8 * a * (gnn_steps + 2) * len * d bytes; tracemalloc measured a at 8.6-10.4 for training (from
+# 5 items on) and 3.9-6.0 for scoring (6.8 at one click) over d 32 and 100, 1 and 2 steps, both
+# variants, 2-50 distinct items and widths 8 and 64, so a = 10 and 5.
 SUB_BATCH_BYTES = 1536 * 1024
-# Budget of a scoring pass's (B, N) logits, counted apart from its activations.  Scoring
-# 1024 random prefixes of 1-7 clicks at 43,097 items and d=100 (one BLAS thread, medians of
-# 3 interleaved runs) gave 480 ex/s at 1 row per sub-batch, 1.0k at 2 MiB, 1.4k at 4 MiB and
-# 1.7-1.8k from 8 MiB on; from 16 MiB the activations bind (28 rows on average, 31 at 64 MiB).
+# Score rows: 8 * r * N bytes.  A training pass peaks at 5 (B, N) rows per example in eq13's loss
+# pass and 4 in backward, plus one (N, d) temporary per pass at any width (d 4-100, widths
+# 4-128), so r = 5; scoring holds its logits, r = 1.  At 43,097 items and d=100, random 1-7-click
+# prefixes, one BLAS thread: scoring ran 480 ex/s at width 1 and 1.7-1.8k from 8 MiB on, and
+# training's passes 34 ex/s at width 1, 112 at 8 MiB (width 4), 193 at 16 MiB (8.3), 258 at 32 MiB
+# (12.5, +16 MB peak RSS).  At 16,766 items the activations bind training from 16 MiB: 96 ex/s at
+# width 1, 576 at 8 MiB, 686 at 16 MiB and 614 at 32 MiB.  Scoring is activation-bound from 16 MiB.
 SCORE_BYTES = 16 * 1024 * 1024
 
 
 def _example_costs(num_items: int, hp: HyperParams, length: int, scoring: bool):
-    """(bytes per example, budget) of every limit on a sub-batch whose longest prefix has ``length``."""
-    floats = (hp.gnn_steps + 2) * length * hp.d
-    if scoring:
-        return (8 * 5 * floats, SUB_BATCH_BYTES), (8 * num_items, SCORE_BYTES)
-    return ((8 * (6 * num_items + 10 * floats), SUB_BATCH_BYTES),)
+    """(bytes per example, budget) of both limits on a sub-batch whose longest prefix has ``length``."""
+    acts, rows = (5, 1) if scoring else (10, 5)
+    return (8 * acts * (hp.gnn_steps + 2) * length * hp.d, SUB_BATCH_BYTES), (8 * rows * num_items, SCORE_BYTES)
 
 
 def sub_batches(examples, num_items: int, hp: HyperParams, scoring: bool = False) -> list[list[int]]:
@@ -214,9 +213,9 @@ def sub_batches(examples, num_items: int, hp: HyperParams, scoring: bool = False
 
     The examples are stably sorted by prefix length, so a given list
     always yields the same sub-batches, and cut before an example would
-    take its sub-batch past a limit: training's, or with ``scoring`` the
-    forward-only activations and, apart, the logits of a pass that only
-    ranks.  Every sub-batch holds at least one example.
+    take its sub-batch past either limit, its activations or its score
+    rows, counted for a training pass or, with ``scoring``, for one that
+    only ranks.  Every sub-batch holds at least one example.
     """
     chunks: list[list[int]] = []
     for i in sorted(range(len(examples)), key=lambda i: len(examples[i].prefix)):

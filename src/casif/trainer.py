@@ -125,6 +125,8 @@ class EpochLog:
     epoch: int
     lr: float
     mean_loss: float
+    examples: int
+    sub_batches: int        # examples / sub_batches is the epoch's mean sub-batch width
 
 
 @dataclass
@@ -215,11 +217,12 @@ def train(
     grads = zero_gradients(params)      # one buffer, zeroed per batch: a fresh one is a fresh mmap above 32 MiB
     for epoch in range(start_epoch, cfg.epochs):
         lr = lr_for_epoch(cfg, epoch)
-        batch_losses = []
+        batch_losses, passes = [], 0
         for batch_index, batch in enumerate(make_batches(dataset.train, cfg.batch_size, seed, epoch)):
             grads.flat.fill(0.0)
             loss_sum = 0.0
             for rows in sub_batches(batch, dataset.num_items, hp):
+                passes += 1
                 trace = forward_batch([batch[i] for i in rows], params, hp)
                 loss_sum += float(trace.losses.sum())
                 backward_batch(trace, params, hp, grads)
@@ -233,7 +236,7 @@ def train(
                 raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_index}")
             adam_step(params, grads, adam, lr)
             batch_losses.append(batch_loss)
-        logs.append(EpochLog(epoch=epoch, lr=lr, mean_loss=float(np.mean(batch_losses))))
+        logs.append(EpochLog(epoch, lr, float(np.mean(batch_losses)), len(dataset.train), passes))
 
     ckpt = Checkpoint(hp=hp, params=params, adam=adam, epoch=cfg.epochs, rng_seed=seed)
     return TrainResult(params=params, epoch_logs=logs, checkpoint=ckpt)

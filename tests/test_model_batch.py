@@ -111,39 +111,37 @@ def test_padding_reaches_no_real_value():
 
 
 class TestSubBatches:
-    def test_stable_length_order_and_budget(self):
+    @pytest.mark.parametrize("scoring", [False, True], ids=["training", "scoring"])
+    @pytest.mark.parametrize("num_items, hp", [(1364, HyperParams(d=32)), (43097, HyperParams(d=100, gnn_steps=2))],
+                             ids=["1364x32", "43097x100"])
+    def test_stable_length_order_and_both_limits(self, num_items, hp, scoring):
         rng = np.random.default_rng(7)
         examples = [PrefixExample([0] * int(n), 0) for n in rng.integers(1, 50, size=300)]
-        hp = HyperParams(d=32)
-        chunks = sub_batches(examples, 1364, hp)
+        chunks = sub_batches(examples, num_items, hp, scoring=scoring)
         flat = [i for chunk in chunks for i in chunk]
         assert flat == sorted(range(len(examples)), key=lambda i: len(examples[i].prefix))
-        assert len(chunks) > 1
-        for chunk in chunks:
+        acts, rows = (5, 1) if scoring else (10, 5)
+
+        def within_limits(chunk):
             longest = max(len(examples[i].prefix) for i in chunk)
-            cost = 8 * (6 * 1364 + 10 * (hp.gnn_steps + 2) * longest * hp.d)
-            assert len(chunk) * cost <= SUB_BATCH_BYTES or len(chunk) == 1
+            return (len(chunk) * 8 * acts * (hp.gnn_steps + 2) * longest * hp.d <= SUB_BATCH_BYTES
+                    and len(chunk) * 8 * rows * num_items <= SCORE_BYTES)
+
+        assert all(within_limits(chunk) for chunk in chunks if len(chunk) > 1)
+        # each cut is needed: the next sub-batch's first example would break a limit
+        assert not any(within_limits(chunk + nxt[:1]) for chunk, nxt in zip(chunks, chunks[1:]))
 
     def test_an_oversized_example_gets_its_own_sub_batch(self):
         examples = [PrefixExample([0], 0), PrefixExample([0] * 50, 0)]
         assert sub_batches(examples, 10**6, HyperParams(d=32)) == [[0], [1]]
 
-    @pytest.mark.parametrize("num_items, hp", [(1364, HyperParams(d=32)), (43097, HyperParams(d=100, gnn_steps=2))])
-    def test_scoring_keeps_the_stable_length_order_and_both_limits(self, num_items, hp):
+    def test_a_paper_catalog_trains_wide_sub_batches(self):
+        # SR-GNN's Diginetica catalog, 100-example batches of random 1-7-click prefixes
         rng = np.random.default_rng(7)
-        examples = [PrefixExample([0] * int(n), 0) for n in rng.integers(1, 50, size=300)]
-        chunks = sub_batches(examples, num_items, hp, scoring=True)
-        flat = [i for chunk in chunks for i in chunk]
-        assert flat == sorted(range(len(examples)), key=lambda i: len(examples[i].prefix))
-
-        def within_limits(chunk):
-            longest = max(len(examples[i].prefix) for i in chunk)
-            return (len(chunk) * 8 * 5 * (hp.gnn_steps + 2) * longest * hp.d <= SUB_BATCH_BYTES
-                    and len(chunk) * 8 * num_items <= SCORE_BYTES)
-
-        assert all(within_limits(chunk) for chunk in chunks if len(chunk) > 1)
-        # each cut is needed: the next sub-batch's first example would break a limit
-        assert not any(within_limits(chunk + nxt[:1]) for chunk, nxt in zip(chunks, chunks[1:]))
+        examples = [PrefixExample([0] * int(n), 0) for n in rng.integers(1, 8, size=300)]
+        widths = [len(chunk) for lo in range(0, 300, 100)
+                  for chunk in sub_batches(examples[lo:lo + 100], 43097, HyperParams(d=100))]
+        assert np.mean(widths) >= 7
 
     def test_a_scoring_example_over_either_limit_gets_its_own_sub_batch(self):
         short, long_ = PrefixExample([0], 0), PrefixExample([0] * 410, 0)     # 8 * 5 * 3 * 410 * 32 > 1.5 MiB

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -318,9 +319,10 @@ class TestTrainingLoop:
         assert r_heavy.epoch_logs[0].mean_loss > r_none.epoch_logs[0].mean_loss + 1.0
 
     def test_one_loss_pass_per_sub_batch(self, monkeypatch):
-        # the loss train logs and the gradient backward_batch takes come from one call
+        # the loss train logs and the gradient backward_batch takes come from one call.  At 20,000
+        # items the score-rows limit cuts each batch of 32, so there is more than one call per batch
         import casif.model
-        ds = toy_dataset(num_items=2000, n_sessions=40, seed=6)
+        ds = toy_dataset(num_items=20000, n_sessions=40, seed=6)
         cfg = small_cfg(epochs=1, batch_size=32)
         single = casif.model._loss_and_grad
         widths = []
@@ -335,6 +337,31 @@ class TestTrainingLoop:
         expected = [len(rows) for batch in batches for rows in sub_batches(batch, ds.num_items, cfg.hp)]
         assert len(expected) > len(batches)
         assert widths == expected
+
+    def test_epoch_log_counts_examples_and_sub_batches(self):
+        ds = toy_dataset(num_items=20000, n_sessions=40, seed=6)
+        cfg = small_cfg(epochs=2, batch_size=32, seed=4)
+        for log in train(ds, cfg).epoch_logs:
+            batches = make_batches(ds.train, cfg.batch_size, cfg.seed, log.epoch)
+            assert log.examples == len(ds.train)
+            assert log.sub_batches == sum(len(sub_batches(batch, ds.num_items, cfg.hp)) for batch in batches)
+            assert log.sub_batches > len(batches)
+
+    def test_bit_exact_where_the_score_rows_limit_cuts(self, tmp_path):
+        # at 60,000 items and d=4 each batch of 32 splits by its score rows alone: without the
+        # catalog term, the activations limit keeps every batch whole
+        ds = toy_dataset(num_items=60000, n_sessions=40, seed=3)
+        cfg = small_cfg(epochs=2, batch_size=32, seed=9, hp=HyperParams(d=4))
+        for batch in make_batches(ds.train, cfg.batch_size, cfg.seed, 0):
+            assert len(sub_batches(batch, 1, cfg.hp)) == 1
+            assert len(sub_batches(batch, ds.num_items, cfg.hp)) > 1
+        save_checkpoint(tmp_path / "half.ckpt", train(ds, replace(cfg, epochs=1)).checkpoint)
+        runs = {"first": train(ds, cfg), "second": train(ds, cfg),
+                "resumed": train(ds, cfg, resume=load_checkpoint(tmp_path / "half.ckpt"))}
+        for name, result in runs.items():
+            save_checkpoint(tmp_path / f"{name}.ckpt", result.checkpoint)
+        first, second, resumed = ((tmp_path / f"{name}.ckpt").read_bytes() for name in runs)
+        assert first == second == resumed
 
     def test_identical_runs_identical_checkpoints(self, tmp_path):
         ds = toy_dataset(seed=7)
