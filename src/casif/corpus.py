@@ -14,8 +14,9 @@ a code indexes the raw ids ``session_ids``/``item_ids``, each interned
 in first-seen order.  sessionize_and_filter works on the columns and
 builds Session lists of raw ids only for the sessions that survive.
 
-The dataset file (persist_dataset, load_dataset) holds the sessions, one
-per line; the examples are expanded again when it is loaded.
+The dataset file (persist_dataset, load_dataset) holds a header that
+counts each split's sessions, then one bare item list per session; the
+examples are expanded again when it is loaded.
 
 Filtering is single-pass: item support is counted once over the whole
 sessionized corpus (occurrences, repeats included), low-support items are
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 DATASET_FORMAT = "casif-dataset"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 
 @dataclass
@@ -351,35 +352,37 @@ def preprocess(lines, settings: PreprocessConfig | None = None,
 def persist_dataset(ds: ProcessedDataset, path) -> None:
     """Write a dataset as JSON lines, plus its vocabulary beside it.
 
-    Line 1 is a header record; every following line is one session,
-    {"items": [...], "split": "train"|"test"}: train sessions first, then
-    test, each in dataset order.  The vocabulary goes to path + '.vocab',
-    one {"index", "raw"} record per line.
+    Line 1 is a header record that counts the sessions of each split;
+    every following line is one session, a bare list of item indices:
+    train sessions first, then test, each in dataset order.  The
+    vocabulary goes to path + '.vocab': the raw ids, one JSON string per
+    line, in index order.
     """
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "format": DATASET_FORMAT,
             "version": DATASET_VERSION,
             "num_items": ds.num_items,
+            "train_sessions": len(ds.train_sessions),
+            "test_sessions": len(ds.test_sessions),
             "provenance": ds.provenance,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        # the bytes json.dumps(record, sort_keys=True) gives, written from templates
-        for split, sessions in (("train", ds.train_sessions), ("test", ds.test_sessions)):
-            tail = f'], "split": "{split}"}}\n'
-            fh.writelines('{"items": [' + ", ".join(map(str, items)) + tail for items in sessions)
+        # the bytes json.dumps(items) gives, written from a template
+        for sessions in (ds.train_sessions, ds.test_sessions):
+            fh.writelines("[" + ", ".join(map(str, items)) + "]\n" for items in sessions)
     with open(f"{path}.vocab", "w", encoding="utf-8") as fh:
-        fh.writelines(f'{{"index": {index}, "raw": {encode_basestring_ascii(raw)}}}\n'
-                      for index, raw in enumerate(ds.vocab.index_to_raw))
+        fh.writelines(encode_basestring_ascii(raw) + "\n" for raw in ds.vocab.index_to_raw)
 
 
 def load_dataset(path) -> ProcessedDataset:
     """Inverse of persist_dataset; validates the header and every session.
 
     A session must be a list of at least two integer item indices in
-    [0, num_items), and its split "train" or "test".  Anything else, or a
-    header of another format or version, is a DataError naming the file
-    and line.
+    [0, num_items), and the file must hold exactly as many sessions as
+    the header counts.  Anything else, or a header of another format or
+    version, is a DataError naming the file and, where there is one, the
+    line.
     """
     with open(path, "rb") as fh:    # bytes, decoded line by line, so bad UTF-8 names its line
         header = _json_line(fh.readline(), path, 1)
@@ -390,19 +393,23 @@ def load_dataset(path) -> ProcessedDataset:
         num_items = header.get("num_items")
         if type(num_items) is not int or num_items < 1:
             raise DataError(f"{path}: line 1: num_items must be a positive integer, got {num_items!r}")
-        splits: dict[str, list[list[int]]] = {"train": [], "test": []}
-        for lineno, items, split in _json_records(fh, path, 2, "items", "split"):
-            if split not in ("train", "test"):
-                raise DataError(f"{path}: line {lineno}: unknown split {split!r}")
+        num_train, num_test = header.get("train_sessions"), header.get("test_sessions")
+        if not all(type(n) is int and n >= 0 for n in (num_train, num_test)):
+            raise DataError(f"{path}: line 1: train_sessions and test_sessions must be integers >= 0, "
+                            f"got {num_train!r} and {num_test!r}")
+        sessions = []
+        for lineno, items in _json_lines(fh, path, 2):
             if type(items) is not list or len(items) < 2 or not all(type(i) is int for i in items):
                 raise DataError(f"{path}: line {lineno}: malformed record: "
-                                "items must be a list of at least 2 integers")
+                                "a session must be a list of at least 2 integers")
             if min(items) < 0 or max(items) >= num_items:
                 raise DataError(f"{path}: line {lineno}: item index out of range [0, {num_items})")
-            splits[split].append(items)
-
+            sessions.append(items)
+    if len(sessions) != num_train + num_test:
+        raise DataError(f"{path}: {len(sessions)} sessions, but the header counts "
+                        f"{num_train} train and {num_test} test sessions")
     vocab = load_vocab(f"{path}.vocab", num_items)
-    return ProcessedDataset(splits["train"], splits["test"], vocab, header.get("provenance", {}))
+    return ProcessedDataset(sessions[:num_train], sessions[num_train:], vocab, header.get("provenance", {}))
 
 
 def _json_line(line: bytes, path, lineno: int):
@@ -415,42 +422,28 @@ def _json_line(line: bytes, path, lineno: int):
         raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
 
 
-def _json_records(lines, path, start: int, first: str, second: str):
-    """(line number, record[first], record[second]) for each non-blank line, numbered from
-    ``start``; a line that is not such a record is a DataError naming the file and line."""
+def _json_lines(lines, path, start: int):
+    """(line number, JSON value) for each non-blank line, numbered from ``start``."""
     for lineno, line in enumerate(lines, start=start):
-        if not line.strip():
-            continue
-        rec = _json_line(line, path, lineno)
-        try:
-            values = rec[first], rec[second]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-        yield lineno, *values
+        if line.strip():
+            yield lineno, _json_line(line, path, lineno)
 
 
 def load_vocab(path, num_items: int) -> ItemVocabulary:
-    """Read a vocabulary file that lists each index 0 .. num_items-1 exactly once.
+    """Read a vocabulary file: the raw ids, one JSON string per non-blank line, in index order.
 
-    Every line is a {"index": int, "raw": str} record; blank lines are
-    skipped.  Any other content is a DataError naming the file and line.
+    The ids must be distinct and number num_items.  Any other content is
+    a DataError naming the file and, where there is one, the line.
     """
-    raw_of: dict[int, str] = {}
     raw_to_index: dict[str, int] = {}
     with open(path, "rb") as fh:
-        for lineno, raw, index in _json_records(fh, path, 1, "raw", "index"):
-            if type(raw) is not str or type(index) is not int:
-                raise DataError(f"{path}: line {lineno}: malformed record: "
-                                "raw must be a string, index an integer")
-            if not 0 <= index < num_items:
-                raise DataError(f"{path}: line {lineno}: index {index} out of range [0, {num_items})")
-            if index in raw_of:
-                raise DataError(f"{path}: line {lineno}: index {index} listed twice")
+        for lineno, raw in _json_lines(fh, path, 1):
+            if type(raw) is not str:
+                raise DataError(f"{path}: line {lineno}: malformed record: a raw id must be a JSON string")
             if raw in raw_to_index:
                 raise DataError(f"{path}: line {lineno}: raw id {raw!r} listed twice")
-            raw_of[index] = raw
-            raw_to_index[raw] = index
-    # every index is in range and listed once, so a full count lists them all
-    if len(raw_of) != num_items:
-        raise DataError(f"{path}: {len(raw_of)} entries for {num_items} items")
-    return ItemVocabulary(raw_to_index, [raw_of[i] for i in range(num_items)])
+            raw_to_index[raw] = len(raw_to_index)
+    # the vocabulary is built from the lines and only then compared with the count
+    if len(raw_to_index) != num_items:
+        raise DataError(f"{path}: {len(raw_to_index)} entries for {num_items} items")
+    return ItemVocabulary(raw_to_index, list(raw_to_index))

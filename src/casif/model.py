@@ -202,26 +202,25 @@ SUB_BATCH_BYTES = 1536 * 1024
 SCORE_BYTES = 16 * 1024 * 1024
 
 
-def _example_costs(num_items: int, hp: HyperParams, length: int, scoring: bool):
-    """(bytes per example, budget) of both limits on a sub-batch whose longest prefix has ``length``."""
-    acts, rows = (5, 1) if scoring else (10, 5)
-    return (8 * acts * (hp.gnn_steps + 2) * length * hp.d, SUB_BATCH_BYTES), (8 * rows * num_items, SCORE_BYTES)
-
-
 def sub_batches(examples, num_items: int, hp: HyperParams, scoring: bool = False) -> list[list[int]]:
     """Index lists cutting ``examples`` into sub-batches of similar prefix length.
 
     The examples are stably sorted by prefix length, so a given list
-    always yields the same sub-batches, and cut before an example would
-    take its sub-batch past either limit, its activations or its score
-    rows, counted for a training pass or, with ``scoring``, for one that
-    only ranks.  Every sub-batch holds at least one example.
+    always yields the same sub-batches.  An example joins the open
+    sub-batch while that holds fewer examples than the example's cap:
+    the most examples of its prefix length within both budgets, their
+    activations and their score rows, counted for a training pass or,
+    with ``scoring``, for one that only ranks.  Every sub-batch holds at
+    least one example.
     """
+    acts, rows = (5, 1) if scoring else (10, 5)
+    score_cap, act_bytes = SCORE_BYTES // (8 * rows * num_items), 8 * acts * (hp.gnn_steps + 2) * hp.d
     chunks: list[list[int]] = []
     for i in sorted(range(len(examples)), key=lambda i: len(examples[i].prefix)):
-        # sorted, so the newest example is the longest and sets the padded size
-        costs = _example_costs(num_items, hp, len(examples[i].prefix), scoring)
-        if chunks and all((len(chunks[-1]) + 1) * cost <= budget for cost, budget in costs):
+        # sorted, so the newest example is the longest and sets the padded size; an empty
+        # prefix, which forward_batch rejects, is counted as one click
+        cap = min(score_cap, SUB_BATCH_BYTES // (act_bytes * max(len(examples[i].prefix), 1)))
+        if chunks and len(chunks[-1]) < cap:
             chunks[-1].append(i)
         else:
             chunks.append([i])

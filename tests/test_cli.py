@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,21 @@ import pytest
 from casif import (AdamState, Checkpoint, HyperParams, TrainConfig, SynthSpec, generate_sessions, init_params,
                    load_checkpoint, save_checkpoint, write_click_log)
 from casif.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args, env=None):
+    """``python -m casif.cli *args`` in a subprocess that imports this checkout's package; ``env`` adds variables."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "casif.cli", *args], env=env, capture_output=True, text=True)
+
+
+def vocab_raw_ids(path) -> list[str]:
+    """The raw ids of a vocabulary file, in index order."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +71,8 @@ class TestPipeline:
         digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                    for name in ("dataset.jsonl", "dataset.jsonl.vocab", "stats.json")}
         assert digests == {
-            "dataset.jsonl": "c02e7557f8f02370cb6579dd4c24099e363fccbe9a2a014496520fc51663ad74",
-            "dataset.jsonl.vocab": "bca25bd3f41600d0bb7cce70f24af329696a6c0e8ea19bff29590fb1eb4afde0",
+            "dataset.jsonl": "0d8389a7196c5be8d473bb92dc920d96086acbc554c269100bb81350abf4126c",
+            "dataset.jsonl.vocab": "fd1ddf20544a57fc3a3b87d90ad9054721b079966887a3e691a3f4213577c1c4",
             "stats.json": "e26a4ad85079eeb6e7d6bc4f252a222e9cfe6e69757d8dcbde8c67c84563cb01",
         }
 
@@ -124,8 +140,7 @@ class TestPipeline:
         assert out.read_text() == expected.getvalue()
 
     def test_predict_prints_k_rows(self, pipeline, capsys):
-        with open(pipeline["data"] / "dataset.jsonl.vocab") as fh:
-            first = json.loads(fh.readline())["raw"]
+        first = vocab_raw_ids(pipeline["data"] / "dataset.jsonl.vocab")[0]
         rc = main(["predict", "--checkpoint", str(pipeline["ckpt"]),
                    "--vocab", str(pipeline["data"] / "dataset.jsonl.vocab"),
                    "--items", first, "--k", "3"])
@@ -146,7 +161,7 @@ class TestPipeline:
         ckpt = tmp_path / "tie.ckpt"
         save_checkpoint(ckpt, Checkpoint(hp=hp, params=params, adam=AdamState.fresh(params), epoch=0, rng_seed=0))
         vocab = tmp_path / "tie.vocab"
-        vocab.write_text("".join(json.dumps({"index": i, "raw": raw}) + "\n" for i, raw in enumerate("abc")))
+        vocab.write_text("".join(json.dumps(raw) + "\n" for raw in "abc"))
         assert main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab), "--items", "a", "--k", "3"]) == 0
         assert capsys.readouterr().out == "a\t1\nc\t0\nb\t0\n"
 
@@ -237,8 +252,7 @@ class TestSettings:
     @pytest.mark.parametrize("command", ["evaluate", "predict", "gradcheck"])
     def test_bad_config_file_fails_commands_that_take_no_key(self, pipeline, tmp_path, monkeypatch,
                                                             capsys, command):
-        with open(pipeline["data"] / "dataset.jsonl.vocab") as fh:
-            first = json.loads(fh.readline())["raw"]
+        first = vocab_raw_ids(pipeline["data"] / "dataset.jsonl.vocab")[0]
         argv = {"evaluate": ["--dataset", str(pipeline["data"] / "dataset.jsonl"), "--baseline", "pop"],
                 "predict": ["--checkpoint", str(pipeline["ckpt"]),
                             "--vocab", str(pipeline["data"] / "dataset.jsonl.vocab"), "--items", first],
@@ -290,10 +304,8 @@ class TestExitCodes:
     def test_deeply_nested_config_is_config_error(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[" * 5000)
-        proc = subprocess.run(
-            [sys.executable, "-m", "casif.cli", "--config", str(cfg), "preprocess",
-             "--input", str(pipeline["raw"]), "--out-dir", str(tmp_path / "d")],
-            capture_output=True, text=True)
+        proc = run_cli("--config", str(cfg), "preprocess", "--input", str(pipeline["raw"]),
+                       "--out-dir", str(tmp_path / "d"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
         assert str(cfg) in proc.stderr and "nested too deeply" in proc.stderr
@@ -334,8 +346,7 @@ class TestExitCodes:
         assert "zzz" in capsys.readouterr().err
 
     def test_predict_k_beyond_vocabulary(self, pipeline, capsys):
-        with open(pipeline["data"] / "dataset.jsonl.vocab") as fh:
-            first = json.loads(fh.readline())["raw"]
+        first = vocab_raw_ids(pipeline["data"] / "dataset.jsonl.vocab")[0]
         rc = main(["predict", "--checkpoint", str(pipeline["ckpt"]),
                    "--vocab", str(pipeline["data"] / "dataset.jsonl.vocab"),
                    "--items", first, "--k", "9999"])
@@ -393,21 +404,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: num_cases must be >= 0, got {cases}\n"
 
-    @pytest.mark.parametrize("spoil", ["[0]", "[]", "version_1", "nested", "num_items_2**40"])
+    @pytest.mark.parametrize("spoil", ["[0]", "[]", "version_1", "version_2", "nested", "num_items_2**40",
+                                       "one_session_fewer"])
     def test_train_rejects_bad_dataset_without_traceback(self, pipeline, tmp_path, spoil):
         dataset = tmp_path / "dataset.jsonl"
         shutil.copy(pipeline["data"] / "dataset.jsonl.vocab", f"{dataset}.vocab")
         with open(pipeline["data"] / "dataset.jsonl") as fh:
             lines = fh.readlines()
-        if spoil == "version_1":
+        if spoil.startswith("version_"):
             header = json.loads(lines[0])
-            lines[0] = json.dumps({**header, "version": 1}) + "\n"
-            message = "unsupported version 1"
+            lines[0] = json.dumps({**header, "version": int(spoil[-1])}) + "\n"
+            message = f"unsupported version {spoil[-1]}"
         elif spoil == "num_items_2**40":
             # the vocabulary is checked against the count, never sized by it
             header = json.loads(lines[0])
             lines[0] = json.dumps({**header, "num_items": 2**40}) + "\n"
             message = f"entries for {2**40} items"
+        elif spoil == "one_session_fewer":
+            lines = lines[:-1]
+            message = "sessions, but the header counts"
         elif spoil == "nested":
             lines[1] = "[" * 5000 + "\n"
             message = "line 2: malformed record"
@@ -416,10 +431,7 @@ class TestExitCodes:
             lines[1] = re.sub(r"\[[^]]*\]", spoil, lines[1], count=1)
             message = "line 2: malformed record"
         dataset.write_text("".join(lines))
-        proc = subprocess.run(
-            [sys.executable, "-m", "casif.cli", "train", "--dataset", str(dataset),
-             "--checkpoint-out", str(tmp_path / "m.ckpt")],
-            capture_output=True, text=True)
+        proc = run_cli("train", "--dataset", str(dataset), "--checkpoint-out", str(tmp_path / "m.ckpt"))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
         assert str(dataset) in proc.stderr and message in proc.stderr
@@ -434,13 +446,11 @@ class TestExitCodes:
         assert main(["preprocess", "--input", str(raw), "--out-dir", str(data),
                      "--min-item-support", "1", "--min-session-len", "1",
                      "--split-ts", "5000"]) == 0
-        with open(data / "dataset.jsonl.vocab") as fh:
-            vocab = [json.loads(line)["raw"] for line in fh]
-        assert vocab == ["x", "a", "b"]
+        assert vocab_raw_ids(data / "dataset.jsonl.vocab") == ["x", "a", "b"]
         with open(data / "dataset.jsonl") as fh:
-            records = [json.loads(line) for line in fh][1:]
-        assert records == [{"items": [1, 2], "split": "train"}, {"items": [2, 1], "split": "train"},
-                           {"items": [1, 0], "split": "test"}]
+            header, *sessions = (json.loads(line) for line in fh)
+        assert (header["train_sessions"], header["test_sessions"]) == (2, 1)
+        assert sessions == [[1, 2], [2, 1], [1, 0]]
         stats = json.loads((data / "stats.json").read_text())["stats"]
         assert (stats["train_sessions"], stats["test_sessions"], stats["clicks"]) == (2, 1, 6)
         assert main(["train", "--dataset", str(data / "dataset.jsonl"),
@@ -662,24 +672,24 @@ class TestPreprocessOutputs:
 
 def corrupt_vocab(lines, how):
     """Vocabulary file lines, as bytes, with the one defect `how` names (see VOCAB_DEFECTS)."""
-    recs = [json.loads(line) for line in lines]
+    raws = [json.loads(line) for line in lines]
     if how == "missing_index":
-        recs = [r for r in recs if r["index"] != 1]
-    elif how == "duplicate_index":
-        recs = [r if r["index"] != 1 else {"raw": "dup", "index": 0} for r in recs]
+        del raws[1]
     elif how == "extra_item":
-        recs.append({"raw": "extra", "index": len(recs)})
-    out = [(json.dumps(r) + "\n").encode() for r in recs]
+        raws.append("extra")
+    out = [(json.dumps(r) + "\n").encode() for r in raws]
     if how == "not_json":
         out.insert(1, b"this is not json\n")
     elif how == "not_utf8":
-        out.insert(1, b'{"raw": "\xff", "index": 0}\n')
+        out.insert(1, b'"\xff"\n')
     elif how == "nested":
         out.insert(1, b"[" * 5000 + b"\n")
+    elif how == "format_2":
+        out = [(json.dumps({"index": i, "raw": r}) + "\n").encode() for i, r in enumerate(raws)]
     return out
 
 
-VOCAB_DEFECTS = ["missing_index", "duplicate_index", "not_json", "not_utf8", "extra_item", "nested"]
+VOCAB_DEFECTS = ["missing_index", "not_json", "not_utf8", "extra_item", "nested"]
 
 
 class TestBadVocabulary:
@@ -714,20 +724,23 @@ class TestBadVocabulary:
 
     def test_predict_without_traceback(self, pipeline, bad_copy):
         vocab = f"{bad_copy('missing_index')}.vocab"
-        proc = subprocess.run(
-            [sys.executable, "-m", "casif.cli", "predict", "--checkpoint", str(pipeline["ckpt"]),
-             "--vocab", vocab, "--items", "item0"],
-            capture_output=True, text=True)
+        proc = run_cli("predict", "--checkpoint", str(pipeline["ckpt"]), "--vocab", vocab, "--items", "item0")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "entries" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_format_2_vocabulary_names_its_first_line(self, pipeline, bad_copy, command):
+        dataset = bad_copy("format_2")
+        argv = {"evaluate": ["--dataset", str(dataset), "--baseline", "pop"],
+                "predict": ["--checkpoint", str(pipeline["ckpt"]), "--vocab", f"{dataset}.vocab", "--items", "item0"]}
+        proc = run_cli(command, *argv[command])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert f"{dataset}.vocab: line 1: malformed record" in proc.stderr
 
 
 class TestNotUtf8:
     """One byte that is not UTF-8 gives a one-line error naming the file, never a traceback."""
-
-    @staticmethod
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "casif.cli", *args], capture_output=True, text=True)
 
     @staticmethod
     def spoil(src, dst, old: bytes, new: bytes):
@@ -743,7 +756,7 @@ class TestNotUtf8:
 
     def test_click_log(self, pipeline, tmp_path):
         raw = self.spoil(pipeline["raw"], tmp_path / "raw.csv", b",item", b",\xffitem")
-        proc = self.run("preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d"), "--strict")
+        proc = run_cli("preprocess", "--input", str(raw), "--out-dir", str(tmp_path / "d"), "--strict")
         self.check(proc, 2, raw)
         data = raw.read_bytes()
         lineno = data[:data.index(b"\xff")].count(b"\n") + 1
@@ -756,8 +769,8 @@ class TestNotUtf8:
         without = tmp_path / "without.csv"
         without.write_bytes(data[:start] + data[data.index(b"\n", start) + 1:])
         for log, out in ((raw, "d"), (without, "d_without")):
-            proc = self.run("preprocess", "--input", str(log), "--out-dir", str(tmp_path / out),
-                            "--min-item-support", "2")
+            proc = run_cli("preprocess", "--input", str(log), "--out-dir", str(tmp_path / out),
+                           "--min-item-support", "2")
             assert proc.returncode == 0 and proc.stderr == ""
         stats = json.loads((tmp_path / "d" / "stats.json").read_text())["stats"]
         assert stats["skipped_lines"] == 1
@@ -767,14 +780,14 @@ class TestNotUtf8:
     def test_dataset(self, pipeline, tmp_path):
         shutil.copy(pipeline["data"] / "dataset.jsonl.vocab", tmp_path / "dataset.jsonl.vocab")
         data = self.spoil(pipeline["data"] / "dataset.jsonl", tmp_path / "dataset.jsonl",
-                          b'"split": "test"', b'"split": "\xfftest"')
-        self.check(self.run("evaluate", "--dataset", str(data), "--baseline", "pop"), 2, data)
+                          b"\n[", b"\n[\xff")
+        self.check(run_cli("evaluate", "--dataset", str(data), "--baseline", "pop"), 2, data)
 
     def test_config(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"min_item_support": 2, "delimiter": "\xff"}')
-        proc = self.run("--config", str(cfg), "preprocess", "--input", str(pipeline["raw"]),
-                        "--out-dir", str(tmp_path / "d"))
+        proc = run_cli("--config", str(cfg), "preprocess", "--input", str(pipeline["raw"]),
+                       "--out-dir", str(tmp_path / "d"))
         self.check(proc, 1, cfg)
 
 
@@ -793,14 +806,13 @@ class TestBlasThreadCount:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_same_seed_same_bytes(self, dataset, tmp_path, threads):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         runs = []
         for run in range(2):
             ckpt = tmp_path / f"run{run}.ckpt"
-            subprocess.run([sys.executable, "-m", "casif.cli", "train", "--dataset", str(dataset),
-                            "--checkpoint-out", str(ckpt), "--d", "32", "--batch-size", "100",
-                            "--epochs", "1", "--seed", "3"],
-                           env=env, check=True, capture_output=True)
+            proc = run_cli("train", "--dataset", str(dataset), "--checkpoint-out", str(ckpt), "--d", "32",
+                           "--batch-size", "100", "--epochs", "1", "--seed", "3",
+                           env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
             runs.append(ckpt.read_bytes())
         assert runs[0] == runs[1]
 
@@ -822,9 +834,6 @@ class TestDumpGraphs:
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "casif.cli", "synth", "--out", str(out),
-             "--num-sessions", "5", "--num-items", "5"],
-            capture_output=True, text=True)
+        proc = run_cli("synth", "--out", str(out), "--num-sessions", "5", "--num-items", "5")
         assert proc.returncode == 0
         assert out.exists()

@@ -373,12 +373,10 @@ class TestPersistence:
         ds = build_vocab_and_reindex(train, [Session(["grin 😀", 'say "hi"'], 9)], {"note": "é"})
         path = tmp_path / "data.jsonl"
         persist_dataset(ds, path)
-        header = {"format": "casif-dataset", "version": 2, "num_items": ds.num_items,
-                  "provenance": ds.provenance}
-        records = [header, *({"items": items, "split": "train"} for items in ds.train_sessions),
-                   *({"items": items, "split": "test"} for items in ds.test_sessions)]
-        vocab = [{"raw": raw, "index": index} for index, raw in enumerate(ds.vocab.index_to_raw)]
-        for written, expected in ((path, records), (tmp_path / "data.jsonl.vocab", vocab)):
+        header = {"format": "casif-dataset", "version": 3, "num_items": ds.num_items,
+                  "train_sessions": 2, "test_sessions": 1, "provenance": ds.provenance}
+        records = [header, *ds.train_sessions, *ds.test_sessions]
+        for written, expected in ((path, records), (tmp_path / "data.jsonl.vocab", ds.vocab.index_to_raw)):
             with open(written, "rb") as fh:
                 lines = fh.readlines()
             assert lines == [(json.dumps(r, sort_keys=True) + "\n").encode() for r in expected]
@@ -392,8 +390,9 @@ class TestPersistence:
         with open(path) as fh:
             header = json.loads(fh.readline())
         assert header["format"] == "casif-dataset"
-        assert header["version"] == 2
+        assert header["version"] == 3
         assert header["num_items"] == 3
+        assert (header["train_sessions"], header["test_sessions"]) == (2, 1)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -403,15 +402,35 @@ class TestPersistence:
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        for version in (1, 99):
+        for version in (1, 2, 99):
             path.write_text(f'{{"format": "casif-dataset", "version": {version}, "num_items": 1}}\n')
             with pytest.raises(DataError, match=f"unsupported version {version}"):
                 load_dataset(path)
 
     def test_missing_item_count_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": "casif-dataset", "version": 2}\n')
+        path.write_text('{"format": "casif-dataset", "version": 3, "train_sessions": 0, "test_sessions": 0}\n')
         with pytest.raises(DataError, match="num_items"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("counts", [{"test_sessions": 0}, {"train_sessions": -1, "test_sessions": 0},
+                                        {"train_sessions": 2, "test_sessions": 1.0},
+                                        {"train_sessions": "2", "test_sessions": 1}],
+                             ids=["missing", "negative", "float", "string"])
+    def test_bad_session_count_rejected(self, tmp_path, counts):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"format": "casif-dataset", "version": 3, "num_items": 3, **counts}) + "\n")
+        with pytest.raises(DataError, match=f"{path}: line 1: train_sessions and test_sessions must be integers"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("change", ["one_fewer", "one_more"])
+    def test_session_count_mismatch_rejected(self, tmp_path, change):
+        path = tmp_path / "data.jsonl"
+        persist_dataset(self.make_ds(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1] if change == "one_fewer" else lines + ["[0, 1]\n"]))
+        found = 2 if change == "one_fewer" else 4
+        with pytest.raises(DataError, match=f"{path}: {found} sessions, but the header counts 2 train and 1 test"):
             load_dataset(path)
 
     def test_malformed_record_names_line(self, tmp_path):
@@ -428,7 +447,7 @@ class TestPersistence:
         path = tmp_path / "data.jsonl"
         persist_dataset(ds, path)
         with open(path, "a") as fh:
-            fh.write(json.dumps({"items": [0, 99], "split": "train"}) + "\n")
+            fh.write("[0, 99]\n")
         with pytest.raises(DataError, match="out of range"):
             load_dataset(path)
 
@@ -438,24 +457,20 @@ class TestPersistence:
         persist_dataset(ds, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + len(ds.train_sessions) + len(ds.test_sessions) == 4
-        assert [json.loads(line) for line in lines[1:]] == [
-            {"items": [0, 1, 0], "split": "train"}, {"items": [1, 2], "split": "train"},
-            {"items": [2, 0], "split": "test"}]
+        assert [json.loads(line) for line in lines[1:]] == [[0, 1, 0], [1, 2], [2, 0]]
 
     @pytest.mark.parametrize("record", [
-        {"items": ["1", 0], "split": "train"},
-        {"items": [1.7, 0], "split": "train"},
-        {"items": [True, 0], "split": "train"},
-        {"items": [], "split": "train"},
-        {"items": [0], "split": "test"},
-        {"items": "01", "split": "train"},
-        {"items": [-1, 0], "split": "train"},
-        {"items": [0, 3], "split": "test"},
-        {"items": [0, 1], "split": "valid"},
-        {"items": [0, 1], "split": ["train"]},
-        {"items": [0, 1]},
-        {"split": "train", "prefix": [0], "label": 1},
-        [0, 1],
+        ["1", 0],
+        [1.7, 0],
+        [True, 0],
+        [],
+        [0],
+        "01",
+        [-1, 0],
+        [0, 3],
+        [[0, 1]],
+        None,
+        {"items": [0, 1], "split": "train"},     # a version-2 session line
     ], ids=repr)
     def test_malformed_session_rejected(self, tmp_path, record):
         path = tmp_path / "data.jsonl"
@@ -468,7 +483,7 @@ class TestPersistence:
     @pytest.mark.parametrize("lineno, line, message", [
         (1, b"[" * 5000, "malformed record"),
         (5, b"[" * 5000, "malformed record"),
-        (5, b'{"items": [0, 1], "split": "\xfftrain"}', "malformed record: not UTF-8 text"),
+        (5, b'[0, 1, "\xff"]', "malformed record: not UTF-8 text"),
     ], ids=["nested_header", "nested_record", "not_utf8_record"])
     def test_unparsable_line_rejected(self, tmp_path, lineno, line, message):
         path = tmp_path / "data.jsonl"
@@ -507,11 +522,11 @@ class TestPersistence:
 
     @pytest.mark.parametrize("how, message", [
         ("missing_index", "2 entries for 3 items"),
-        ("duplicate_index", r"line 2: index 0 listed twice"),
         ("not_json", r"line 2: malformed record"),
         ("not_utf8", r"line 2: malformed record"),
-        ("extra_item", r"line 4: index 3 out of range"),
+        ("extra_item", "4 entries for 3 items"),
         ("nested", r"line 2: malformed record"),
+        ("format_2", r"line 1: malformed record: a raw id must be a JSON string"),
     ])
     def test_bad_vocab_rejected(self, tmp_path, how, message):
         path = tmp_path / "data.jsonl"
@@ -526,25 +541,25 @@ class TestPersistence:
 
 
 class TestLoadVocab:
-    def write(self, tmp_path, records):
+    def write(self, tmp_path, values):
         path = tmp_path / "v.vocab"
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        path.write_text("".join(json.dumps(v) + "\n" for v in values))
         return path
 
-    def test_reads_any_line_order(self, tmp_path):
-        path = self.write(tmp_path, [{"raw": "b", "index": 1}, {"raw": "a", "index": 0}])
+    def test_line_k_is_item_k(self, tmp_path):
+        path = self.write(tmp_path, ["b", "a"])
         vocab = load_vocab(path, 2)
-        assert vocab.index_to_raw == ["a", "b"] and vocab.raw_to_index == {"a": 0, "b": 1}
+        assert vocab.index_to_raw == ["b", "a"] and vocab.raw_to_index == {"b": 0, "a": 1}
 
     def test_duplicate_raw_id_rejected(self, tmp_path):
-        path = self.write(tmp_path, [{"raw": "a", "index": 0}, {"raw": "a", "index": 1}])
+        path = self.write(tmp_path, ["a", "a"])
         with pytest.raises(DataError, match="line 2: raw id 'a' listed twice"):
             load_vocab(path, 2)
 
-    def test_non_integer_index_rejected(self, tmp_path):
-        path = self.write(tmp_path, [{"raw": "a", "index": 0.5}])
-        with pytest.raises(DataError, match="line 1: malformed"):
-            load_vocab(path, 1)
+    def test_number_line_rejected(self, tmp_path):
+        path = self.write(tmp_path, ["a", 7])
+        with pytest.raises(DataError, match="line 2: malformed record: a raw id must be a JSON string"):
+            load_vocab(path, 2)
 
 
 class TestIngestMemory:
